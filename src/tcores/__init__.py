@@ -57,18 +57,12 @@ from .partitions import (
     hook_multiset,
     representation_dimension,
 )
-from .series import (
-    BigSeries,
-    eta_inverse_power_series,
-    euler_product_series,
-    partition_count_series,
-)
+from .series import eta_inverse_power_series
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Abacus",
-    "BigSeries",
     "CanonicalCoreAbacus",
     "CoreCount",
     "CoreQuotient",
@@ -93,13 +87,11 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_t_cores",
     "eta_inverse_power_series",
-    "euler_product_series",
     "hook_length",
     "hook_multiset",
     "legendre_symbol",
     "padic_valuation",
     "partition_count",
-    "partition_count_series",
     "partition_from_abacus",
     "pt_count",
     "quotient_components",

@@ -200,7 +200,7 @@ def _verify_part1(args, lines: list[str]) -> int:
     if args.a1 is not None:
         verdict = distribution.verify_2hook_vanishing(args.ell, args.a1, args.a2, args.nmax)
         return _report_single("2-hook vanishing", args.ell, verdict, lines)
-    report = distribution.sweep_2hook_vanishing(args.ell, args.nmax, threads=args.threads)
+    report = distribution.sweep_2hook_vanishing(args.ell, args.nmax)
     return _report_sweep(report, lines)
 
 
@@ -210,7 +210,7 @@ def _verify_part2(args, lines: list[str]) -> int:
     if args.a1 is not None:
         verdict = distribution.verify_3hook_vanishing(args.ell, args.a1, args.a2, args.nmax)
         return _report_single("3-hook vanishing", args.ell, verdict, lines)
-    report = distribution.sweep_3hook_vanishing(args.ell, args.nmax, threads=args.threads)
+    report = distribution.sweep_3hook_vanishing(args.ell, args.nmax)
     return _report_sweep(report, lines)
 
 
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_GUARD)
     p.add_argument("--series-nmax", type=int, default=200, dest="series_nmax")
     p.add_argument("--tmax", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .abacus import Abacus, partition_from_abacus
 from .partitions import Partition, count_t_hooks, enumerate_partitions
-from .series import eta_inverse_power_series, sparse_product
+from .series import sparse_product
 
 
 def is_prime(n: int) -> bool:
@@ -168,12 +168,14 @@ def c3_qf_count(n: int, bound: int | None = None) -> int:
 
 
 def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
-    """c_t(0..N) via the product formula prod (1-q^{tm})^t / (1-q^m)."""
+    """c_t(0..N) via the product formula prod (1-q^{tm})^t / (1-q^m).
+
+    Multiplying first keeps every intermediate coefficient small: E(q^t)^t
+    and the quotient c_t grow polynomially, while 1/E(q) grows like p(n).
+    """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    factors = [(m, -1) for m in range(1, truncation + 1)]
-    factors += [(t * m, t) for m in range(1, truncation // t + 1)]
-    return tuple(sparse_product(factors, truncation))
+    return sparse_product([(t, t), (1, -1)], truncation)
 
 
 def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -283,7 +285,7 @@ def count_t_cores(n: int, t: int, witnesses: bool = False) -> CoreCount:
         return CoreCount(n=n, t=t, count=c2(n))
     if t == 3:
         return CoreCount(n=n, t=t, count=c3_divisor_sum(n))
-    return CoreCount(n=n, t=t, count=count_t_cores_up_to(t, n)[n])
+    return CoreCount(n=n, t=t, count=ct_count_series(t, n)[n])
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,15 @@ number of decimal places (round half to even).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cores
 from .partitions import count_t_hooks, enumerate_partitions
-from .series import BigSeries, eta_inverse_power_series, partition_count_series
+from .series import eta_inverse_power_series
 
 __all__ = [
-    "BigSeries",
-    "eta_inverse_power_series",
     "HookDistribution",
     "ResidueProfile",
     "Verdict",
@@ -70,7 +68,7 @@ class HookDistribution:
         self.t = t
         self.n_max = n_max
         self.core_counts = _core_count_array(t, n_max)
-        self.tuple_counts = eta_inverse_power_series(t, n_max // t).coeffs
+        self.tuple_counts = eta_inverse_power_series(t, n_max // t)
 
     def count(self, a: int, b: int, n: int) -> int:
         """p_t(a, b; n), summing only the hook counts k = a mod b."""
@@ -156,15 +154,11 @@ def residue_profile(t: int, b: int, n: int) -> ResidueProfile:
     return ResidueProfile(t=t, b=b, n=n, counts=tuple(counts))
 
 
-def _hook_counts_of_all(t: int, n: int, _cache: dict = {}) -> tuple[int, ...]:
+@lru_cache(maxsize=64)
+def _hook_counts_of_all(t: int, n: int) -> tuple[int, ...]:
     # t-hook count of every partition of n, enumeration order; memoized
     # because the brute-force oracle is called once per modulus.
-    key = (t, n)
-    if key not in _cache:
-        _cache[key] = tuple(
-            count_t_hooks(lam, t) for lam in enumerate_partitions(n)
-        )
-    return _cache[key]
+    return tuple(count_t_hooks(lam, t) for lam in enumerate_partitions(n))
 
 
 def brute_force_profile(
@@ -289,35 +283,29 @@ class SweepReport:
         return sum(v.checked for _, _, v in self.cells)
 
 
-def _sweep(kind, ell, modulus, n_max, verify, engine, threads) -> SweepReport:
-    pairs = [(a1, a2) for a1 in range(modulus) for a2 in range(modulus)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(
-                pool.map(lambda p: verify(ell, p[0], p[1], n_max, engine), pairs)
-            )
-    else:
-        verdicts = [verify(ell, a1, a2, n_max, engine) for a1, a2 in pairs]
-    cells = tuple((a1, a2, v) for (a1, a2), v in zip(pairs, verdicts))
+def _sweep(kind, ell, modulus, n_max, verify, engine) -> SweepReport:
+    cells = tuple(
+        (a1, a2, verify(ell, a1, a2, n_max, engine))
+        for a1 in range(modulus)
+        for a2 in range(modulus)
+    )
     return SweepReport(kind=kind, ell=ell, modulus=modulus, n_max=n_max, cells=cells)
 
 
-def sweep_2hook_vanishing(ell: int, n_max: int, threads: int = 1) -> SweepReport:
+def sweep_2hook_vanishing(ell: int, n_max: int) -> SweepReport:
     """verify_2hook_vanishing over every (a1, a2) in [0, ell) x [0, ell)."""
     engine = get_engine(2, n_max)
-    return _sweep("2-hook", ell, ell, n_max, verify_2hook_vanishing, engine, threads)
+    return _sweep("2-hook", ell, ell, n_max, verify_2hook_vanishing, engine)
 
 
-def sweep_3hook_vanishing(ell: int, n_max: int, threads: int = 1) -> SweepReport:
+def sweep_3hook_vanishing(ell: int, n_max: int) -> SweepReport:
     """verify_3hook_vanishing over every (a1, a2) in [0, ell^2) x [0, ell^2)."""
     if ell % 3 != 2 or not cores.is_prime(ell):
         raise ValueError(f"ell must be a prime congruent to 2 mod 3, got {ell}")
     engine = get_engine(3, n_max)
-    return _sweep(
-        "3-hook", ell, ell * ell, n_max, verify_3hook_vanishing, engine, threads
-    )
+    return _sweep("3-hook", ell, ell * ell, n_max, verify_3hook_vanishing, engine)
 
 
 def partition_count(n: int) -> int:
     """p(n) from the generating function (independent of any enumeration)."""
-    return partition_count_series(n)[n]
+    return eta_inverse_power_series(1, n)[n]

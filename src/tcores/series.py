@@ -1,84 +1,63 @@
-"""Truncated power series with exact integer coefficients.
+"""Truncated eta products with exact integer coefficients.
 
-Everything here is plain big-integer arithmetic: a series is a coefficient
-table for q^0..q^N and multiplication or division by a sparse factor
-(1 - q^m) is a single strided pass, so no floating point and no rounding
-anywhere. Computing to a larger truncation never changes lower coefficients.
+Every series here is a product of powers of E(q^s), where
+E(q) = prod_{m>=1} (1 - q^m). By Euler's pentagonal number theorem
+
+    E(q) = sum over k in Z of (-1)^k q^{k(3k-1)/2},
+
+so up to q^N it has only O(sqrt(N)) nonzero terms, at the generalized
+pentagonal numbers 1, 2, 5, 7, 12, 15, ... Multiplying or dividing a
+coefficient table by E(q^s) is therefore one sparse recurrence pass over the
+table. Everything is plain big-integer arithmetic, so no floating point and
+no rounding anywhere. Computing to a larger truncation never changes lower
+coefficients.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from math import isqrt
+from typing import Sequence
 
 
-class BigSeries:
-    """Coefficients of q^0..q^N; index m holds the exact coefficient of q^m."""
+def sparse_product(
+    factors: Sequence[tuple[int, int]], truncation: int
+) -> tuple[int, ...]:
+    """Coefficients of q^0..q^N of prod over (s, e) of E(q^s)^e.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]) -> None:
-        self.coeffs: tuple[int, ...] = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least the q^0 coefficient")
-
-    @classmethod
-    def one(cls, truncation: int) -> "BigSeries":
-        return cls([1] + [0] * truncation)
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, m: int) -> int:
-        return self.coeffs[m]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BigSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        head = ", ".join(map(str, self.coeffs[:8]))
-        tail = ", ..." if len(self.coeffs) > 8 else ""
-        return f"BigSeries([{head}{tail}], truncation={self.truncation})"
-
-    def __mul__(self, other: "BigSeries") -> "BigSeries":
-        """Truncated Cauchy product, cut at the smaller truncation."""
-        if not isinstance(other, BigSeries):
-            return NotImplemented
-        n = min(self.truncation, other.truncation)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai:
-                for j in range(n + 1 - i):
-                    out[i + j] += ai * b[j]
-        return BigSeries(out)
+    Each factor (s, e) stands for prod_{m>=1} (1 - q^{sm})^e; a negative e
+    divides. Factors apply in the order given; the result does not depend on
+    it, but the sizes of the intermediate coefficients do.
+    """
+    if truncation < 0:
+        raise ValueError(f"truncation must be non-negative, got {truncation}")
+    c = [1] + [0] * truncation
+    for s, e in factors:
+        if s < 1:
+            raise ValueError(f"factor step s must be at least 1, got {s}")
+        # E(q^s) = 1 + sum of (-1)^k q^{s*g} over g = k(3k-1)/2, k(3k+1)/2;
+        # g >= k^2 bounds k. Dividing moves that sum across, flipping its
+        # signs, and runs ascending so c[n - d] already holds the quotient;
+        # multiplying runs descending so c[n - d] still holds the old value.
+        flip = 1 if e > 0 else -1
+        terms = [
+            (s * g, flip * (-1) ** k)
+            for k in range(1, isqrt(truncation // s) + 1)
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+            if s * g <= truncation
+        ]
+        order = range(truncation, 0, -1) if e > 0 else range(1, truncation + 1)
+        for _ in range(abs(e)):
+            for n in order:
+                acc = c[n]
+                for d, sign in terms:
+                    if d > n:
+                        break
+                    acc += sign * c[n - d]
+                c[n] = acc
+    return tuple(c)
 
 
-def _divide_by_one_minus(coeffs: list[int], m: int) -> None:
-    # prefix-sum recurrence for 1/(1 - q^m), ascending
-    for k in range(m, len(coeffs)):
-        coeffs[k] += coeffs[k - m]
-
-
-def _multiply_by_one_minus(coeffs: list[int], m: int) -> None:
-    # sparse multiply by (1 - q^m), descending
-    for k in range(len(coeffs) - 1, m - 1, -1):
-        coeffs[k] -= coeffs[k - m]
-
-
-def eta_inverse_power_series(t: int, truncation: int) -> BigSeries:
+def eta_inverse_power_series(t: int, truncation: int) -> tuple[int, ...]:
     """Coefficients of 1 / prod_{m>=1} (1 - q^m)^t up to q^N.
 
     The q^k coefficient counts t-tuples of partitions of total size k; at
@@ -86,40 +65,4 @@ def eta_inverse_power_series(t: int, truncation: int) -> BigSeries:
     """
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
-    if truncation < 0:
-        raise ValueError(f"truncation must be non-negative, got {truncation}")
-    c = [1] + [0] * truncation
-    for m in range(1, truncation + 1):
-        for _ in range(t):
-            _divide_by_one_minus(c, m)
-    return BigSeries(c)
-
-
-def partition_count_series(truncation: int) -> BigSeries:
-    """p(0), p(1), ..., p(N)."""
-    return eta_inverse_power_series(1, truncation)
-
-
-def euler_product_series(t: int, truncation: int) -> BigSeries:
-    """Coefficients of prod_{m>=1} (1 - q^m)^t up to q^N (t >= 1)."""
-    if t < 1:
-        raise ValueError(f"t must be at least 1, got {t}")
-    c = [1] + [0] * truncation
-    for m in range(1, truncation + 1):
-        for _ in range(t):
-            _multiply_by_one_minus(c, m)
-    return BigSeries(c)
-
-
-def sparse_product(
-    factors: Sequence[tuple[int, int]], truncation: int
-) -> BigSeries:
-    """prod over (m, e) of (1 - q^m)^e, with negative e meaning division."""
-    c = [1] + [0] * truncation
-    for m, e in factors:
-        if m < 1:
-            raise ValueError(f"factor exponent base must use m >= 1, got {m}")
-        op = _multiply_by_one_minus if e > 0 else _divide_by_one_minus
-        for _ in range(abs(e)):
-            op(c, m)
-    return BigSeries(c)
+    return sparse_product([(1, -t)], truncation)

@@ -122,8 +122,7 @@ def test_verify_part1_single_cell(capsys):
 
 
 def test_verify_part1_sweep(capsys):
-    code, out = run(capsys, "verify", "part1", "--ell", "3", "--nmax", "150",
-                    "--threads", "2")
+    code, out = run(capsys, "verify", "part1", "--ell", "3", "--nmax", "150")
     assert code == 0
     assert "3 hypothesis cells" in out
 

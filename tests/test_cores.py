@@ -159,6 +159,9 @@ def test_count_t_cores_witnesses():
     assert count_t_cores(6, 2).count == 1
     assert count_t_cores(2, 3).count == 2
     assert count_t_cores(11, 5).count == count_t_cores(11, 5, witnesses=True).count
+    # t >= 4 counts come from the series; enumeration is the oracle
+    for n, t in ((200, 7), (40, 4)):
+        assert count_t_cores(n, t).count == count_t_cores_up_to(t, n)[n]
 
 
 def test_verify_core_formulas_small():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tcores import distribution
@@ -16,17 +18,33 @@ from tcores.distribution import (
     verify_3hook_vanishing,
 )
 from tcores.partitions import enumerate_partitions
-from tcores.series import (
-    BigSeries,
-    eta_inverse_power_series,
-    euler_product_series,
-    partition_count_series,
-)
+from tcores.series import eta_inverse_power_series, sparse_product
+
+
+def _strided_product(factors, truncation):
+    # Oracle: expand each (s, e) into the factors (1 - q^{sm})^e, m >= 1, and
+    # apply every one as a dense strided pass over the coefficient table.
+    c = [1] + [0] * truncation
+    for s, e in factors:
+        for m in range(s, truncation + 1, s):
+            for _ in range(abs(e)):
+                if e < 0:
+                    for k in range(m, truncation + 1):
+                        c[k] += c[k - m]
+                else:
+                    for k in range(truncation, m - 1, -1):
+                        c[k] -= c[k - m]
+    return tuple(c)
+
+
+def _cauchy_product(a, b):
+    n = min(len(a), len(b))
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n))
 
 
 def test_partition_series_values():
-    assert tuple(partition_count_series(5)) == (1, 1, 2, 3, 5, 7)
-    ps = partition_count_series(30)
+    assert eta_inverse_power_series(1, 5) == (1, 1, 2, 3, 5, 7)
+    ps = eta_inverse_power_series(1, 30)
     for n in range(31):
         assert ps[n] == len(list(enumerate_partitions(n)))
 
@@ -39,24 +57,62 @@ def test_eta_inverse_examples():
 
 def test_eta_inverse_counts_tuples():
     # q^k coefficient of 1/prod(1-q^m)^t counts t-tuples of total size k
-    ps = partition_count_series(12).coeffs
+    ps = eta_inverse_power_series(1, 12)
     q2 = eta_inverse_power_series(2, 12)
     for k in range(13):
         assert q2[k] == sum(ps[i] * ps[k - i] for i in range(k + 1))
 
 
 def test_product_and_inverse_cancel():
-    prod = euler_product_series(2, 40) * eta_inverse_power_series(2, 40)
-    assert prod == BigSeries.one(40)
+    prod = _cauchy_product(
+        sparse_product([(1, 2)], 40), eta_inverse_power_series(2, 40)
+    )
+    assert prod == (1,) + (0,) * 40
 
 
 def test_monotone_truncation():
     small = eta_inverse_power_series(2, 50)
     large = eta_inverse_power_series(2, 80)
-    assert large.coeffs[:51] == small.coeffs
-    small = euler_product_series(3, 40)
-    large = euler_product_series(3, 70)
-    assert large.coeffs[:41] == small.coeffs
+    assert large[:51] == small
+    small = sparse_product([(1, 3)], 40)
+    large = sparse_product([(1, 3)], 70)
+    assert large[:41] == small
+
+
+def test_sparse_product_matches_strided_oracle():
+    rng = random.Random(20210825)
+    cases = [([], 0), ([], 9), ([(1, 0)], 12), ([(3, 2), (1, -1)], 0)]
+    for _ in range(150):
+        factors = [
+            (rng.randint(1, 7), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 4))
+        ]
+        cases.append((factors, rng.randint(0, 45)))
+    for factors, truncation in cases:
+        assert sparse_product(factors, truncation) == _strided_product(
+            factors, truncation
+        ), (factors, truncation)
+
+
+def test_sparse_product_validation():
+    with pytest.raises(ValueError):
+        sparse_product([(0, 1)], 5)
+    with pytest.raises(ValueError):
+        sparse_product([(1, -1), (-2, 1)], 5)
+    with pytest.raises(ValueError):
+        sparse_product([(1, 1)], -1)
+    with pytest.raises(ValueError):
+        eta_inverse_power_series(2, -1)
+    with pytest.raises(ValueError):
+        eta_inverse_power_series(0, 5)
+
+
+def test_partition_counts_match_sympy():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    ps = eta_inverse_power_series(1, 5100)
+    rng = random.Random(5100)
+    for n in [0, 1, 2, 100, 5100] + rng.sample(range(5101), 40):
+        assert ps[n] == numbers.partition(n), n
 
 
 def test_pt_count_examples():
@@ -69,7 +125,7 @@ def test_pt_count_examples():
 
 
 def test_residue_counts_sum_to_partition_count():
-    ps = partition_count_series(60)
+    ps = eta_inverse_power_series(1, 60)
     for t, b in ((2, 3), (3, 5), (4, 4)):
         for n in (0, 1, 7, 30, 60):
             prof = residue_profile(t, b, n)
@@ -156,11 +212,11 @@ def test_counterexample_branch_fires_on_nonzero_count():
 
 def test_sweeps_are_deterministic_and_verified():
     rep1 = sweep_2hook_vanishing(3, 300)
-    rep2 = sweep_2hook_vanishing(3, 300, threads=3)
+    rep2 = sweep_2hook_vanishing(3, 300)
     assert rep1.cells == rep2.cells
     assert rep1.ok and rep1.hypothesis_cells == 3
 
-    rep = sweep_3hook_vanishing(2, 300, threads=2)
+    rep = sweep_3hook_vanishing(2, 300)
     assert rep.ok and rep.hypothesis_cells == 4
     assert rep.counterexamples == ()
     with pytest.raises(ValueError):

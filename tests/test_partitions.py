@@ -11,7 +11,7 @@ from tcores.partitions import (
     hook_rows,
     representation_dimension,
 )
-from tcores.series import partition_count_series
+from tcores.series import eta_inverse_power_series
 
 partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -50,7 +50,7 @@ def test_enumeration_order_snapshot():
 
 
 def test_enumeration_counts_match_series():
-    ps = partition_count_series(30)
+    ps = eta_inverse_power_series(1, 30)
     for n in range(31):
         parts = list(enumerate_partitions(n))
         assert len(parts) == ps[n]
