@@ -1,11 +1,14 @@
 """Bead abaci for partitions: structure numbers, t-cores, and t-quotients.
 
 A partition with s parts (zeros allowed as padding) has structure numbers
-B_i = lam_i - i + s, a strictly decreasing sequence. Placing a bead for each
-B_i = t*(r-1) + c at row r >= 1 of runner c in {0, ..., t-1} gives the abacus
-of the partition. Sliding a bead up one row removes one rim t-hook; sliding
-every bead all the way up yields the t-core, and the bead pattern of each
-runner, read on its own, decodes to one component of the t-quotient.
+B_i = lam_i - i + s, strictly decreasing. On t runners, B = t*r + c is a bead
+in row r >= 0 of runner c. runners(lam, t) lists each runner's rows, and one
+decoder turns runner rows back into a partition. Sliding a bead up a row
+removes a rim t-hook, so the t-core keeps only each runner's bead count
+(core_from_counts; a t-core is its vector of runner counts, as in Garvan,
+Kim and Stanton, "Cranks and t-cores", 1990), and each runner's rows, read
+as one-runner structure numbers, decode to one t-quotient component. Abacus
+is the same picture as a validated set of (row + 1, runner) beads.
 
 Bead-count convention: unless a caller supplies one, abaci are padded with
 zero parts so the bead count s is the least multiple of t with s >= #parts.
@@ -17,7 +20,7 @@ produce the same labelled quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Partition, count_t_hooks
 
@@ -37,26 +40,9 @@ class Abacus:
             if r < 1 or not 0 <= c < self.t:
                 raise ValueError(f"bead {(r, c)} outside runners 0..{self.t - 1}")
 
-    @property
-    def bead_count(self) -> int:
-        return len(self.beads)
-
-    def decoded_values(self) -> tuple[int, ...]:
-        """Structure numbers encoded by the beads, sorted decreasing."""
-        return tuple(
-            sorted((self.t * (r - 1) + c for r, c in self.beads), reverse=True)
-        )
-
     def column_rows(self, c: int) -> list[int]:
         """Occupied rows of runner c, ascending."""
         return sorted(r for r, cc in self.beads if cc == c)
-
-    def __str__(self) -> str:
-        rows = max((r for r, _ in self.beads), default=0)
-        return "\n".join(
-            " ".join("o" if (r, c) in self.beads else "." for c in range(self.t))
-            for r in range(1, rows + 1)
-        )
 
 
 class CanonicalCoreAbacus(NamedTuple):
@@ -69,12 +55,7 @@ class CanonicalCoreAbacus(NamedTuple):
         return len(self.column_counts)
 
     def partition(self) -> Partition:
-        beads = frozenset(
-            (r, c)
-            for c, count in enumerate(self.column_counts)
-            for r in range(1, count + 1)
-        )
-        return partition_from_abacus(Abacus(self.t, beads))
+        return core_from_counts(self.column_counts)
 
 
 @dataclass(frozen=True)
@@ -114,22 +95,49 @@ def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, .
     )
 
 
+def runners(
+    lam: Partition, t: int, bead_count: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Runner c lists B // t for each structure number B = c mod t of lam.
+
+    Rows are descending; the bead count follows the padding rule by default.
+    """
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
+    s = default_bead_count(len(lam), t) if bead_count is None else bead_count
+    rows: list[list[int]] = [[] for _ in range(t)]
+    for b in structure_numbers(lam, pad_to=s):
+        rows[b % t].append(b // t)
+    return tuple(map(tuple, rows))
+
+
+def _decode(rows: Sequence[Iterable[int]]) -> Partition:
+    # The partition with structure numbers t*r + c for each row r of runner c.
+    t = len(rows)
+    return _partition_from_values(t * r + c for c, rs in enumerate(rows) for r in rs)
+
+
+def core_from_counts(counts: Iterable[int]) -> Partition:
+    """The t-core whose runner c holds counts[c] beads in its top rows."""
+    counts = tuple(counts)
+    if min(counts, default=0) < 0:
+        raise ValueError(f"bead counts must be non-negative, got {counts}")
+    return _decode([range(a) for a in counts])
+
+
 def abacus_from_partition(
     lam: Partition, t: int, bead_count: int | None = None
 ) -> Abacus:
     """Abacus of lam on t runners; default bead count per the padding rule."""
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    s = default_bead_count(len(lam), t) if bead_count is None else bead_count
     beads = frozenset(
-        (b // t + 1, b % t) for b in structure_numbers(lam, pad_to=s)
+        (r + 1, c) for c, rs in enumerate(runners(lam, t, bead_count)) for r in rs
     )
     return Abacus(t, beads)
 
 
 def partition_from_abacus(ab: Abacus) -> Partition:
     """Decode an abacus back to its partition (trailing zero parts dropped)."""
-    return _partition_from_values(ab.decoded_values())
+    return _decode([[r - 1 for r in ab.column_rows(c)] for c in range(ab.t)])
 
 
 def _partition_from_values(values: Iterable[int]) -> Partition:
@@ -162,7 +170,7 @@ def compact_columns(ab: Abacus) -> Abacus:
 
 def t_core(lam: Partition, t: int) -> Partition:
     """The unique t-core obtained by removing rim t-hooks until none remain."""
-    return partition_from_abacus(compact_columns(abacus_from_partition(lam, t)))
+    return core_from_counts(map(len, runners(lam, t)))
 
 
 def quotient_components(ab: Abacus) -> tuple[Partition, ...]:
@@ -186,9 +194,12 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     The total quotient size equals the number of t-hooks of lam, and
     |lam| = |core| + t * (total quotient size).
     """
-    ab = abacus_from_partition(lam, t)
-    core = partition_from_abacus(compact_columns(ab))
-    return CoreQuotient(core=core, quotient=quotient_components(ab), t=t)
+    rows = runners(lam, t)
+    return CoreQuotient(
+        core=core_from_counts(map(len, rows)),
+        quotient=tuple(map(_partition_from_values, rows)),
+        t=t,
+    )
 
 
 def compose(cq: CoreQuotient) -> Partition:
@@ -198,8 +209,7 @@ def compose(cq: CoreQuotient) -> Partition:
         raise ValueError(f"quotient must have {t} components, got {len(cq.quotient)}")
     if count_t_hooks(cq.core, t) != 0:
         raise ValueError(f"core {tuple(cq.core)} has a {t}-hook")
-    core_ab = abacus_from_partition(cq.core, t)
-    counts = [len(core_ab.column_rows(c)) for c in range(t)]
+    counts = [len(rs) for rs in runners(cq.core, t)]
     # Grow the padding (one bead lands atop every runner per t extra zero
     # parts) until each runner has at least as many beads as its component
     # has parts.
@@ -208,12 +218,9 @@ def compose(cq: CoreQuotient) -> Partition:
     )
     if extra > 0:
         counts = [a + extra for a in counts]
-    beads = set()
-    for c, comp in enumerate(cq.quotient):
-        a = counts[c]
-        for pos in structure_numbers(comp, pad_to=a):
-            beads.add((pos + 1, c))
-    return partition_from_abacus(Abacus(t, frozenset(beads)))
+    return _decode(
+        [structure_numbers(comp, pad_to=a) for comp, a in zip(cq.quotient, counts)]
+    )
 
 
 def canonicalize_core_abacus(ab: Abacus) -> CanonicalCoreAbacus:

@@ -132,6 +132,8 @@ def cmd_table(args) -> int:
     if args.a is not None and not 0 <= args.a < args.b:
         raise UsageError(f"--a must lie in 0..{args.b - 1}")
     residues = range(args.b) if args.a is None else (args.a,)
+    # get_engine rebuilds whenever a larger n is asked for, so size it once.
+    distribution.get_engine(args.t, max(rows))
     profiles = [distribution.residue_profile(args.t, args.b, n) for n in rows]
     if args.format == "json":
         payload = [

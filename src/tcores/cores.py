@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
-from .abacus import Abacus, partition_from_abacus
+from .abacus import core_from_counts
 from .partitions import Partition, count_t_hooks, enumerate_partitions
 from .series import sparse_product
 
@@ -178,59 +178,62 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
     return sparse_product([(t, t), (1, -1)], truncation)
 
 
+# Most offset entries (t times the t-cores of size <= max_size) that one
+# enumeration may write. At about 0.25 us per entry on a 2.1 GHz Xeon (under
+# 2 us per 7-core), the budget caps one call at about 5 s.
+CORE_ENUMERATION_BUDGET = 20_000_000
+
+
 def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (size, offsets) for every t-core of size <= max_size, once each.
 
     A t-core padded to a multiple-of-t bead count has per-runner bead counts
     b_c; the offsets x_c = b_c - s/t sum to zero, do not depend on the
-    padding, and determine the core. The size works out to
-    sum_c [ (t/2) x_c^2 + c x_c ], so each coordinate lives in a provably
-    complete interval and backtracking with a running budget enumerates all
-    solutions. Doubled values keep the arithmetic integral.
+    padding, and determine the core. Its size is sum_c [(t/2) x_c^2 + c x_c],
+    and since sum_c x_c = 0 the linear term can be centred:
+
+        2 * size = sum_c [t x_c^2 + (2c - t + 1) x_c].
+
+    As |2c - t + 1| < t, every term is >= 0 at integer x_c, so the budget
+    left after runners t-1, ..., c+1 alone bounds x_c. An explicit stack
+    walks runners t-1 down to 1; runner 0's offset is fixed by the zero sum.
+    The cost is proportional to t times the number of cores found; raises
+    ValueError before yielding anything when that exceeds
+    CORE_ENUMERATION_BUDGET.
     """
+    entries = t * sum(ct_count_series(t, max_size))
+    if entries > CORE_ENUMERATION_BUDGET:
+        raise ValueError(
+            f"enumerating the {t}-cores of sizes <= {max_size} writes {entries} "
+            f"offsets, over the budget of {CORE_ENUMERATION_BUDGET}"
+        )
     target2 = 2 * max_size
-    # Worst-case negative contribution of the runners not yet assigned:
-    # min over integers of t*x^2 + 2*c*x is min(0, t - 2*c), at x in {0, -1}.
-    slack = [0] * (t + 1)
-    for c in range(t):
-        slack[c + 1] = slack[c] + min(0, t - 2 * c)
 
-    def ranges(c: int, budget2: int) -> range:
-        # t*x^2 + 2*c*x <= budget2  =>  |t*x + c| <= sqrt(c^2 + t*budget2)
-        if budget2 < 0:
-            budget2 = 0
-        root = isqrt(c * c + t * budget2)
-        lo = -((root + c) // t)
-        hi = (root - c) // t
-        return range(lo, hi + 1)
+    def span(c: int, budget2: int) -> range:
+        # t x^2 + d x <= budget2  <=>  |2t x + d| <= sqrt(d^2 + 4t budget2)
+        d = 2 * c - t + 1
+        root = isqrt(d * d + 4 * t * budget2)
+        return range(-((root + d) // (2 * t)), (root - d) // (2 * t) + 1)
 
-    out: list[tuple[int, tuple[int, ...]]] = []
-
-    def descend(c: int, acc2: int, total: int, chosen: list[int]) -> None:
-        if c == 0:
-            x = -total
-            size2 = acc2 + t * x * x
-            if size2 <= target2:
-                out.append((size2 // 2, (x, *reversed(chosen))))
-            return
-        budget2 = target2 - acc2 - slack[c]
-        for x in ranges(c, budget2):
-            chosen.append(x)
-            descend(c - 1, acc2 + t * x * x + 2 * c * x, total + x, chosen)
-            chosen.pop()
-
-    descend(t - 1, 0, 0, [])
-    return iter(out)
-
-
-def _offsets_to_partition(offsets: tuple[int, ...], t: int) -> Partition:
-    shift = max(0, -min(offsets))
-    beads = frozenset(
-        (r, c)
-        for c, x in enumerate(offsets)
-        for r in range(1, x + shift + 1)
-    )
-    return partition_from_abacus(Abacus(t, beads))
+    offsets = [0] * t
+    # (runner, its remaining offsets, 2*size and offset sum of runners above)
+    stack = [(t - 1, iter(span(t - 1, target2)), 0, 0)]
+    while stack:
+        c, xs, spent2, total = stack[-1]
+        x = next(xs, None)
+        if x is None:
+            stack.pop()
+            continue
+        offsets[c] = x
+        spent2 += t * x * x + (2 * c - t + 1) * x
+        total += x
+        if c > 1:
+            stack.append((c - 1, iter(span(c - 1, target2 - spent2)), spent2, total))
+            continue
+        size2 = spent2 + t * total * total + (t - 1) * total
+        if size2 <= target2:
+            offsets[0] = -total
+            yield size2 // 2, tuple(offsets)
 
 
 def count_t_cores_up_to(t: int, max_size: int) -> list[int]:
@@ -253,11 +256,11 @@ def enumerate_t_cores(n: int, t: int, mode: str = "abacus") -> list[Partition]:
     if n < 0 or t < 2:
         raise ValueError(f"need n >= 0 and t >= 2, got n={n}, t={t}")
     if mode == "abacus":
-        cores = [
-            _offsets_to_partition(offsets, t)
-            for size, offsets in _runner_offset_vectors(t, n)
-            if size == n
-        ]
+        cores = []
+        for size, offs in _runner_offset_vectors(t, n):
+            if size == n:
+                low = min(offs)
+                cores.append(core_from_counts(x - low for x in offs))
         return sorted(cores, reverse=True)
     if mode == "oracle":
         return [

@@ -45,6 +45,8 @@ def sparse_product(
             for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
             if s * g <= truncation
         ]
+        if not terms:
+            continue  # s > N: the factor is 1 up to q^N
         order = range(truncation, 0, -1) if e > 0 else range(1, truncation + 1)
         for _ in range(abs(e)):
             for n in order:

@@ -10,10 +10,12 @@ from tcores.abacus import (
     canonicalize_core_abacus,
     compact_columns,
     compose,
+    core_from_counts,
     decompose,
     default_bead_count,
     partition_from_abacus,
     quotient_components,
+    runners,
     slide_bead,
     structure_numbers,
     t_core,
@@ -266,3 +268,34 @@ def test_round_trip_property(lam, t):
     cq = decompose(lam, t)
     assert compose(cq) == lam
     assert lam.size == cq.core.size + t * cq.quotient_size
+
+
+def test_runner_decoding_matches_bead_view():
+    # Oracle: the beads built here from structure numbers, compacted and read
+    # runner by runner through the frozenset view.
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for t in range(2, 8):
+                s = default_bead_count(len(lam), t)
+                beads = frozenset(
+                    (b // t + 1, b % t) for b in structure_numbers(lam, pad_to=s)
+                )
+                ab = Abacus(t, beads)
+                core = partition_from_abacus(compact_columns(ab))
+                cq = decompose(lam, t)
+                assert cq.core == core
+                assert t_core(lam, t) == core
+                assert cq.quotient == quotient_components(ab)
+
+
+def test_runners_and_core_from_counts_examples():
+    # structure numbers (8, 5, 3, 1) on 3 runners: 8, 5 on runner 2, 3 on 0, 1 on 1
+    assert runners(Partition((5, 3, 2, 1)), 3, bead_count=4) == ((1,), (0,), (2, 1))
+    assert runners(Partition(), 2) == ((), ())
+    with pytest.raises(ValueError):
+        runners(Partition((1,)), 1)
+    ab = Abacus(3, frozenset({(1, 1), (1, 2), (2, 2)}))
+    assert core_from_counts((0, 1, 2)) == partition_from_abacus(ab) == (3, 1, 1)
+    assert core_from_counts(()) == ()
+    with pytest.raises(ValueError):
+        core_from_counts((0, -1))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tcores import cli
+from tcores import cli, distribution
 
 
 def run(capsys, *argv):
@@ -76,6 +76,36 @@ def test_cores_count_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 2
     assert payload["witnesses"] == [[2], [1, 1]]
+
+
+def test_cores_count_witnesses_many_runners(capsys):
+    code, out = run(capsys, "cores-count", "--n", "2", "--t", "1500", "--witnesses")
+    assert code == 0
+    assert out.splitlines() == ["c_1500(2) = 2", "  2", "  1,1"]
+
+
+def test_cores_count_witnesses_over_budget(capsys):
+    code = cli.main(["cores-count", "--n", "500", "--t", "7", "--witnesses"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+def test_table_builds_engine_once(capsys, monkeypatch):
+    builds = []
+
+    class Counting(distribution.HookDistribution):
+        def __init__(self, t, n_max):
+            builds.append((t, n_max))
+            super().__init__(t, n_max)
+
+    monkeypatch.setattr(distribution, "_engines", {})
+    monkeypatch.setattr(distribution, "HookDistribution", Counting)
+    code, out = run(capsys, "table")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3 * len(cli.DEFAULT_TABLE_ROWS)
+    assert builds == [(2, max(cli.DEFAULT_TABLE_ROWS))]
 
 
 def test_table_csv(capsys):

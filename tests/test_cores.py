@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tcores import cores
 from tcores.cores import (
     c2,
     c3_divisor_sum,
@@ -136,7 +137,7 @@ def test_enumerate_t_cores_examples():
 
 
 def test_enumerate_modes_agree():
-    for t, n_max in ((2, 30), (3, 30), (4, 20), (5, 20)):
+    for t, n_max in ((2, 30), (3, 30), (4, 20), (5, 20), (20, 12), (14, 14)):
         for n in range(n_max + 1):
             fast = enumerate_t_cores(n, t)
             oracle = enumerate_t_cores(n, t, mode="oracle")
@@ -167,3 +168,20 @@ def test_count_t_cores_witnesses():
 def test_verify_core_formulas_small():
     report = verify_core_formulas(n_max=100, series_n_max=60, t_max=5)
     assert report.ok, report.failures
+
+
+def test_ct_count_series_skips_factors_beyond_truncation():
+    # for t > N the factor E(q^t)^t is 1 up to q^N, so c_t(n) = p(n)
+    assert ct_count_series(10**12, 5) == (1, 1, 2, 3, 5, 7)
+
+
+def test_enumeration_budget(monkeypatch):
+    # the budget counts offset entries: t times the t-cores of size <= n
+    entries = 4 * sum(ct_count_series(4, 20))
+    monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries)
+    assert sum(count_t_cores_up_to(4, 20)) * 4 == entries
+    monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries - 1)
+    with pytest.raises(ValueError, match="budget"):
+        count_t_cores_up_to(4, 20)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_t_cores(20, 4)
