@@ -170,6 +170,8 @@ def compact_columns(ab: Abacus) -> Abacus:
 
 def t_core(lam: Partition, t: int) -> Partition:
     """The unique t-core obtained by removing rim t-hooks until none remain."""
+    if t > max(lam.size, 1):  # t >= 2 and no hook of lam reaches length t
+        return lam
     return core_from_counts(map(len, runners(lam, t)))
 
 

@@ -180,8 +180,6 @@ def _report_sweep(report, lines: list[str]) -> int:
         f"n <= {report.n_max}:"
     )
     for a1, a2, v in report.cells:
-        if v.status == distribution.HYPOTHESIS_NOT_MET:
-            continue
         suffix = (
             f"counterexample at n={v.counterexample}"
             if v.status == distribution.COUNTEREXAMPLE
@@ -196,24 +194,16 @@ def _report_sweep(report, lines: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-def _verify_part1(args, lines: list[str]) -> int:
+def _verify_part(args, lines: list[str]) -> int:
     if (args.a1 is None) != (args.a2 is None):
         raise UsageError("--a1 and --a2 must be given together")
+    hooks = 2 if args.target == "part1" else 3
     if args.a1 is not None:
-        verdict = distribution.verify_2hook_vanishing(args.ell, args.a1, args.a2, args.nmax)
-        return _report_single("2-hook vanishing", args.ell, verdict, lines)
-    report = distribution.sweep_2hook_vanishing(args.ell, args.nmax)
-    return _report_sweep(report, lines)
-
-
-def _verify_part2(args, lines: list[str]) -> int:
-    if (args.a1 is None) != (args.a2 is None):
-        raise UsageError("--a1 and --a2 must be given together")
-    if args.a1 is not None:
-        verdict = distribution.verify_3hook_vanishing(args.ell, args.a1, args.a2, args.nmax)
-        return _report_single("3-hook vanishing", args.ell, verdict, lines)
-    report = distribution.sweep_3hook_vanishing(args.ell, args.nmax)
-    return _report_sweep(report, lines)
+        verify = getattr(distribution, f"verify_{hooks}hook_vanishing")
+        verdict = verify(args.ell, args.a1, args.a2, args.nmax)
+        return _report_single(f"{hooks}-hook vanishing", args.ell, verdict, lines)
+    sweep = getattr(distribution, f"sweep_{hooks}hook_vanishing")
+    return _report_sweep(sweep(args.ell, args.nmax), lines)
 
 
 def _verify_no_identity(args, lines: list[str]) -> int:
@@ -243,10 +233,8 @@ def cmd_verify(args) -> int:
     lines: list[str] = []
     if args.nmax is None:
         args.nmax = 500 if args.target == "core-formulas" else 2000
-    if args.target == "part1":
-        code = _verify_part1(args, lines)
-    elif args.target == "part2":
-        code = _verify_part2(args, lines)
+    if args.target in ("part1", "part2"):
+        code = _verify_part(args, lines)
     elif args.target == "no-identity":
         code = _verify_no_identity(args, lines)
     else:

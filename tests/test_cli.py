@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,12 @@ def test_core_text(capsys):
     assert code == 0 and out == "2\n"
     code, out = run(capsys, "core", "2", "--t", "2")
     assert code == 0 and out == "-\n"
+
+
+def test_core_of_small_partition_for_huge_t(capsys):
+    code, out = run(capsys, "core", "1", "--t", "1000000000")
+    assert code == 0
+    assert out == "1\n"
 
 
 def test_cores_count_json(capsys):
@@ -181,6 +189,72 @@ def test_verify_bad_ell_usage_error(capsys):
 def test_verify_mismatched_cell_flags(capsys):
     code = cli.main(["verify", "part1", "--ell", "5", "--a1", "1", "--nmax", "50"])
     assert code == 2
+
+
+def test_verify_negative_nmax(capsys):
+    # sweeps refuse before checking a cell; a single cell only once its
+    # hypothesis holds
+    for argv in (
+        ["verify", "part1", "--ell", "5", "--nmax", "-1"],
+        ["verify", "part2", "--ell", "5", "--a1", "1", "--a2", "1", "--nmax", "-1"],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_max must be non-negative, got -1\n"
+    code, out = run(capsys, "verify", "part1", "--ell", "5", "--a1", "0",
+                    "--a2", "0", "--nmax", "-1")
+    assert code == 0
+    assert "hypothesis-not-met" in out
+
+
+def test_sweep_cell_budget(capsys, monkeypatch):
+    assert 3 * 23**4 < distribution.SWEEP_CELL_BUDGET  # part2 --ell 23 fits
+    monkeypatch.setattr(distribution, "SWEEP_CELL_BUDGET", 9)
+    code, out = run(capsys, "verify", "part1", "--ell", "3", "--nmax", "50")
+    assert code == 0
+    assert "3 hypothesis cells" in out
+    monkeypatch.setattr(distribution, "SWEEP_CELL_BUDGET", 8)
+    code = cli.main(["verify", "part1", "--ell", "3", "--nmax", "50"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+def test_verify_builds_no_engine(capsys, monkeypatch):
+    builds = []
+
+    class Counting(distribution.HookDistribution):
+        def __init__(self, t, n_max):
+            builds.append((t, n_max))
+            super().__init__(t, n_max)
+
+    monkeypatch.setattr(distribution, "_engines", {})
+    monkeypatch.setattr(distribution, "HookDistribution", Counting)
+    for argv in (
+        ["verify", "part1", "--ell", "5", "--nmax", "300"],
+        ["verify", "part2", "--ell", "2", "--nmax", "300"],
+        ["verify", "part1", "--ell", "5", "--a1", "1", "--a2", "1", "--nmax", "300"],
+        ["verify", "part2", "--ell", "5", "--a1", "1", "--a2", "1", "--nmax", "300"],
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.endswith("VERIFIED\n")
+    assert builds == []
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["verify part1 --ell 13", "verify part2 --ell 11", "verify part2 --ell 23"],
+)
+def test_verify_output_matches_recorded_digest(capsys, argv):
+    recorded = json.loads(EXPECTED.read_text())["cli " + argv]
+    code, out = run(capsys, *argv.split())
+    assert code == recorded["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded["sha256"]
 
 
 def test_verify_no_identity(capsys):

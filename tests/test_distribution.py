@@ -197,17 +197,59 @@ def test_verify_3hook_examples():
         verify_3hook_vanishing(7, 0, 0, 100)  # 7 = 1 mod 3
 
 
-class _LyingEngine:
-    # stands in for HookDistribution to exercise the counterexample branch
-    def count(self, a, b, n):
-        return 1
-
-
 def test_counterexample_branch_fires_on_nonzero_count():
-    v = verify_2hook_vanishing(5, 1, 1, 100, engine=_LyingEngine())
-    assert v.status == COUNTEREXAMPLE and v.counterexample == 1
-    v = verify_3hook_vanishing(5, 1, 1, 100, engine=_LyingEngine())
-    assert v.status == COUNTEREXAMPLE and v.counterexample == 1
+    # With every core count nonzero, the first n of the progression whose
+    # sum has a term is a counterexample. For a1 = 1 that is n = 6 (resp.
+    # 26): at n = 1 no k = 1 mod b has t*k <= n, so the sum is empty.
+    ones = [1] * 101
+    for a1 in (1, 6):  # only a1 mod ell matters
+        v = verify_2hook_vanishing(5, a1, 1, 100, core_counts=ones)
+        assert v.status == COUNTEREXAMPLE and v.counterexample == 6 and v.checked == 1
+    v = verify_3hook_vanishing(5, 1, 1, 100, core_counts=ones)
+    assert v.status == COUNTEREXAMPLE and v.counterexample == 26 and v.checked == 1
+    # a cell whose progression has a term at its first n fires there
+    v = verify_2hook_vanishing(5, 0, 2, 100, core_counts=ones)
+    assert v.status == COUNTEREXAMPLE and v.counterexample == 2 and v.checked == 0
+    with pytest.raises(ValueError):
+        verify_2hook_vanishing(5, 1, 1, 101, core_counts=ones)
+
+
+def _first_nonzero_by_convolution(engine, a1, b, a2, n_max):
+    for n in range(a2 % b, n_max + 1, b):
+        if engine.count(a1, b, n):
+            return n
+    return None
+
+
+@pytest.mark.parametrize(
+    "t, ells, verify, sweep",
+    [
+        (2, (3, 5, 7, 11, 13), verify_2hook_vanishing, sweep_2hook_vanishing),
+        (3, (2, 5, 11), verify_3hook_vanishing, sweep_3hook_vanishing),
+    ],
+)
+def test_structural_check_matches_convolution_on_every_cell(t, ells, verify, sweep):
+    n_max = 2000
+    engine = HookDistribution(t, n_max)
+    for ell in ells:
+        b = ell if t == 2 else ell * ell
+        vanishing, hypothesis = [], []
+        for a1 in range(b):
+            for a2 in range(b):
+                structural = distribution._check_cell(
+                    t, b, a1, a2, n_max, engine.core_counts
+                )
+                first = _first_nonzero_by_convolution(engine, a1, b, a2, n_max)
+                assert structural.counterexample == first, (ell, a1, a2)
+                if first is None:
+                    vanishing.append((a1, a2))
+                verdict = verify(ell, a1, a2, n_max, core_counts=engine.core_counts)
+                if verdict.status != HYPOTHESIS_NOT_MET:
+                    hypothesis.append((a1, a2, verdict))
+        assert vanishing == [(a1, a2) for a1, a2, _ in hypothesis], ell
+        report = sweep(ell, n_max)
+        assert report.cells == tuple(hypothesis)
+        assert report.hypothesis_cells == len(hypothesis)
 
 
 def test_sweeps_are_deterministic_and_verified():
