@@ -95,15 +95,24 @@ def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, .
     )
 
 
+# Most runners one abacus may have. Storage is linear in t, about 160 bytes
+# a runner: `tcores decompose 1 --t 100000` took 0.6 s and 31 MB peak on a
+# 2.1 GHz Xeon, and --t 1000000 took 6 s and 170 MB.
+MAX_RUNNERS = 100_000
+
+
 def runners(
     lam: Partition, t: int, bead_count: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Runner c lists B // t for each structure number B = c mod t of lam.
 
     Rows are descending; the bead count follows the padding rule by default.
+    Raises ValueError for t above MAX_RUNNERS.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
+    if t > MAX_RUNNERS:
+        raise ValueError(f"t={t} is over the limit of {MAX_RUNNERS} runners")
     s = default_bead_count(len(lam), t) if bead_count is None else bead_count
     rows: list[list[int]] = [[] for _ in range(t)]
     for b in structure_numbers(lam, pad_to=s):

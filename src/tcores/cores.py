@@ -3,15 +3,18 @@
 Closed forms for t = 2 (triangular-number test on 8n+1) and t = 3 (a divisor
 sum over 3n+1 driven by the residue of each divisor mod 3), a positive
 definite quadratic-form count equivalent to the t = 3 case, and two generic
-routes — the product generating function and direct abacus enumeration —
-that work for every t and serve as cross-checks.
+routes — the product generating function and the runner theta-sum DP — that
+work for every t and serve as cross-checks. Direct abacus enumeration lists
+the cores themselves, for witnesses and as the DP's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
-from typing import Iterator
+from operator import add
+from typing import Iterable, Iterator
 
 from .abacus import core_from_counts
 from .partitions import Partition, count_t_hooks, enumerate_partitions
@@ -148,6 +151,11 @@ def c3_qf_solutions(n: int, bound: int | None = None) -> list[QFSolution]:
     The form dominates (a^2 + b^2)/2, so the default search box
     0 <= a, b <= 1 + ceil(2*sqrt(n+1)) is complete with room to spare;
     tests re-run with an enlarged box and check the count is stable.
+    Solutions come ordered by b, then ascending a.
+
+    For fixed b, a solves a^2 - b*a + (b^2 + b - n) = 0, whose discriminant
+    4n - 3b^2 - 4b falls as b grows; one isqrt per b replaces a scan over a.
+    The discriminant is b^2 mod 4, so a square root has the parity of b.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -155,9 +163,14 @@ def c3_qf_solutions(n: int, bound: int | None = None) -> list[QFSolution]:
         bound = 1 + isqrt(4 * (n + 1)) + 1
     solutions = []
     for b in range(bound + 1):
-        base = b * b + b
-        for a in range(bound + 1):
-            if a * a - a * b + base == n:
+        disc = 4 * n - 3 * b * b - 4 * b
+        if disc < 0:
+            break
+        root = isqrt(disc)
+        if root * root != disc:
+            continue
+        for a in sorted({(b - root) // 2, (b + root) // 2}):
+            if 0 <= a <= bound:
                 solutions.append(QFSolution(a=a, b=b))
     return solutions
 
@@ -176,6 +189,14 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     return sparse_product([(t, t), (1, -1)], truncation)
+
+
+def _runner_span(t: int, c: int, budget2: int) -> range:
+    """Offsets x of runner c whose term t x^2 + (2c - t + 1) x is <= budget2."""
+    # t x^2 + d x <= budget2  <=>  |2t x + d| <= sqrt(d^2 + 4t budget2)
+    d = 2 * c - t + 1
+    root = isqrt(d * d + 4 * t * budget2)
+    return range(-((root + d) // (2 * t)), (root - d) // (2 * t) + 1)
 
 
 # Most offset entries (t times the t-cores of size <= max_size) that one
@@ -208,16 +229,9 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
             f"offsets, over the budget of {CORE_ENUMERATION_BUDGET}"
         )
     target2 = 2 * max_size
-
-    def span(c: int, budget2: int) -> range:
-        # t x^2 + d x <= budget2  <=>  |2t x + d| <= sqrt(d^2 + 4t budget2)
-        d = 2 * c - t + 1
-        root = isqrt(d * d + 4 * t * budget2)
-        return range(-((root + d) // (2 * t)), (root - d) // (2 * t) + 1)
-
     offsets = [0] * t
     # (runner, its remaining offsets, 2*size and offset sum of runners above)
-    stack = [(t - 1, iter(span(t - 1, target2)), 0, 0)]
+    stack = [(t - 1, iter(_runner_span(t, t - 1, target2)), 0, 0)]
     while stack:
         c, xs, spent2, total = stack[-1]
         x = next(xs, None)
@@ -228,7 +242,8 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
         spent2 += t * x * x + (2 * c - t + 1) * x
         total += x
         if c > 1:
-            stack.append((c - 1, iter(span(c - 1, target2 - spent2)), spent2, total))
+            span = _runner_span(t, c - 1, target2 - spent2)
+            stack.append((c - 1, iter(span), spent2, total))
             continue
         size2 = spent2 + t * total * total + (t - 1) * total
         if size2 <= target2:
@@ -236,13 +251,97 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
             yield size2 // 2, tuple(offsets)
 
 
-def count_t_cores_up_to(t: int, max_size: int) -> list[int]:
-    """c_t(0), ..., c_t(max_size) by direct abacus enumeration."""
+def _busy_runners(t: int, max_size: int) -> Iterator[tuple[int, range]]:
+    """(c, offsets) for the runners c = t-1, ..., 1 that admit a nonzero offset.
+
+    Offset +1 alone costs 2c + 1 of 2 * size and -1 costs 2(t - c) - 1, so
+    runner c holds offset 0 in every core of size <= max_size unless
+    c < max_size or c >= t - max_size.
+    """
+    top = range(t - 1, max(t - max_size, max_size) - 1, -1)
+    for c in chain(top, range(min(max_size, t) - 1, 0, -1)):
+        yield c, _runner_span(t, c, 2 * max_size)
+
+
+# Most row entries that the runner DP may add, in one count_t_cores_up_to
+# call or summed over every call of one verify_core_formulas. An entry takes
+# about 30 ns at t <= 3 on a 2.1 GHz Xeon (rows start later at larger t, and
+# t = 7 takes about 15 ns), so the budget caps either at about 5 s.
+CORE_COUNT_BUDGET = 150_000_000
+# A call's fixed overhead in row entries: about 6 us at max_size = 0.
+_CALL_ENTRIES = 200
+
+
+def _dp_row_entries(t: int, max_size: int) -> int:
+    """Upper bound on the row entries count_t_cores_up_to(t, max_size) adds.
+
+    Before each runner the offset sums fill an interval of `width` values,
+    one row of 2 * max_size + 1 entries each, and each row takes each of the
+    runner's offsets; closing with runner 0 reads every row once more.
+    """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
+    if max_size < 0:
+        raise ValueError(f"max_size must be non-negative, got {max_size}")
+    length = 2 * max_size + 1
+    width = 1
+    entries = _CALL_ENTRIES
+    for _, xs in _busy_runners(t, max_size):
+        entries += width * len(xs) * length
+        width += len(xs) - 1
+    return entries + width * length
+
+
+def _check_count_budget(calls: Iterable[tuple[int, int]]) -> None:
+    """Raise ValueError when the DP calls (t, max_size) exceed CORE_COUNT_BUDGET."""
+    entries = 0
+    for t, max_size in calls:
+        entries += _dp_row_entries(t, max_size)
+        if entries > CORE_COUNT_BUDGET:
+            raise ValueError(
+                f"the runner DP would add over {entries} row entries (reached at "
+                f"t={t}, sizes <= {max_size}); the budget is {CORE_COUNT_BUDGET}"
+            )
+
+
+def count_t_cores_up_to(t: int, max_size: int) -> list[int]:
+    """c_t(0), ..., c_t(max_size) by the runner theta-sum DP.
+
+    A t-core is its vector of runner offsets x_c, which sum to zero, with
+    2 * size = sum_c [t x_c^2 + (2c - t + 1) x_c] and every term >= 0 (see
+    _runner_offset_vectors; Garvan, Kim and Stanton's theta-sum form). The DP
+    adds runners t-1, ..., 1 to a table of counts by (offset sum S, 2 * size
+    so far), held as one row per S, and runner 0 closes each row at x_0 = -S.
+    Raises ValueError before any work when _dp_row_entries exceeds
+    CORE_COUNT_BUDGET.
+    """
+    _check_count_budget([(t, max_size)])
+    length = 2 * max_size + 1
+    # offset sum -> (index of its first nonzero entry, row)
+    rows = {0: (0, [1] + [0] * (length - 1))}
+    for c, xs in _busy_runners(t, max_size):
+        d = 2 * c - t + 1
+        grown: dict[int, tuple[int, list[int]]] = {}
+        for total, (low, row) in rows.items():
+            for x in xs:
+                shift = t * x * x + d * x
+                start = low + shift
+                if start >= length:
+                    continue
+                moved = row[low : length - shift]
+                if total + x not in grown:
+                    grown[total + x] = (start, [0] * start + moved)
+                    continue
+                first, acc = grown[total + x]
+                acc[start:] = map(add, acc[start:], moved)
+                grown[total + x] = (min(first, start), acc)
+        rows = grown
     counts = [0] * (max_size + 1)
-    for size, _ in _runner_offset_vectors(t, max_size):
-        counts[size] += 1
+    for total, (low, row) in rows.items():
+        shift = t * total * total + (t - 1) * total  # runner 0 at x_0 = -total
+        # a core's 2 * size is even, so shift + low is, and so is every size2
+        for size2 in range(shift + low, length, 2):
+            counts[size2 // 2] += row[size2 - shift]
     return counts
 
 
@@ -311,34 +410,42 @@ def verify_core_formulas(
 ) -> CoreFormulaReport:
     """Check every counting route against the others.
 
-    For n <= n_max: the t=3 divisor sum, the quadratic-form count and abacus
-    enumeration must agree, and the t=2 closed form must match enumeration.
-    For n <= series_n_max and 2 <= t <= t_max: the generating-function
-    coefficients must match enumeration.
+    For n <= n_max: the t=3 divisor sum, the quadratic-form count and the
+    runner theta-sum DP must agree, and the t=2 closed form must match the
+    DP. For n <= series_n_max and 2 <= t <= t_max: the generating-function
+    coefficients must match the DP. Raises ValueError before any work when
+    the DP's row-entry estimates, summed over every call, exceed
+    CORE_COUNT_BUDGET.
     """
+    _check_count_budget(
+        chain(
+            ((2, n_max), (3, n_max)),
+            ((t, series_n_max) for t in range(2, t_max + 1)),
+        )
+    )
     failures: list[str] = []
     checked = 0
-    by_enum2 = count_t_cores_up_to(2, n_max)
-    by_enum3 = count_t_cores_up_to(3, n_max)
+    by_dp2 = count_t_cores_up_to(2, n_max)
+    by_dp3 = count_t_cores_up_to(3, n_max)
     for n in range(n_max + 1):
         ds = c3_divisor_sum(n)
         qf = c3_qf_count(n)
-        if not ds == qf == by_enum3[n]:
+        if not ds == qf == by_dp3[n]:
             failures.append(
-                f"c_3({n}): divisor sum {ds}, quadratic form {qf}, abacus {by_enum3[n]}"
+                f"c_3({n}): divisor sum {ds}, quadratic form {qf}, runner DP {by_dp3[n]}"
             )
-        if c2(n) != by_enum2[n]:
-            failures.append(f"c_2({n}): closed form {c2(n)}, abacus {by_enum2[n]}")
+        if c2(n) != by_dp2[n]:
+            failures.append(f"c_2({n}): closed form {c2(n)}, runner DP {by_dp2[n]}")
         checked += 2
     for t in range(2, t_max + 1):
         from_series = ct_count_series(t, series_n_max)
-        from_enum = tuple(count_t_cores_up_to(t, series_n_max))
-        if from_series != from_enum:
+        from_dp = tuple(count_t_cores_up_to(t, series_n_max))
+        if from_series != from_dp:
             first = next(
-                i for i, (a, b) in enumerate(zip(from_series, from_enum)) if a != b
+                i for i, (a, b) in enumerate(zip(from_series, from_dp)) if a != b
             )
             failures.append(
-                f"c_{t}: series and abacus enumeration differ first at n={first}"
+                f"c_{t}: series and runner DP differ first at n={first}"
             )
         checked += series_n_max + 1
     return CoreFormulaReport(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tcores import cli, distribution
+from tcores import abacus, cli, cores, distribution
 
 
 def run(capsys, *argv):
@@ -248,7 +248,12 @@ EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 @pytest.mark.parametrize(
     "argv",
-    ["verify part1 --ell 13", "verify part2 --ell 11", "verify part2 --ell 23"],
+    [
+        "verify part1 --ell 13",
+        "verify part2 --ell 11",
+        "verify part2 --ell 23",
+        "verify core-formulas",
+    ],
 )
 def test_verify_output_matches_recorded_digest(capsys, argv):
     recorded = json.loads(EXPECTED.read_text())["cli " + argv]
@@ -274,6 +279,41 @@ def test_verify_core_formulas(capsys):
                     "--series-nmax", "40", "--tmax", "4")
     assert code == 0
     assert "VERIFIED" in out
+
+
+def test_verify_core_formulas_tmax_9(capsys):
+    code, out = run(capsys, "verify", "core-formulas", "--tmax", "9")
+    assert code == 0
+    assert out.endswith("n <= 200 for t <= 9 series (2610 checks)\nVERIFIED\n")
+
+
+def test_verify_core_formulas_over_budget(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("counted cores before the budget check")
+
+    monkeypatch.setattr(cores, "count_t_cores_up_to", no_work)
+    monkeypatch.setattr(cores, "ct_count_series", no_work)
+    for argv, message in (
+        (["verify", "core-formulas", "--tmax", "100000"], "budget"),
+        (["verify", "core-formulas", "--nmax", "-1"], "non-negative"),
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_decompose_runner_limit(capsys, monkeypatch):
+    monkeypatch.setattr(abacus, "MAX_RUNNERS", 5)
+    code, out = run(capsys, "decompose", "3,1", "--t", "5")
+    assert code == 0 and json.loads(out)["quotient"] == [[]] * 5
+    assert cli.main(["decompose", "3,1", "--t", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit of 5 runners" in captured.err
+    # a t beyond |lam| leaves the partition as its own core, with no runners
+    code, out = run(capsys, "core", "3,1", "--t", "6")
+    assert code == 0 and out == "3,1\n"
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,12 +103,28 @@ def test_qf_solutions_norm_form_identity():
 
 def test_c3_qf_count_box_is_stable():
     # enlarging the search box must never find new solutions
-    from math import isqrt
-
     for n in range(151):
         default = c3_qf_count(n)
         enlarged = c3_qf_count(n, bound=isqrt(4 * (n + 1)) + 9)
         assert default == enlarged
+
+
+def test_c3_qf_solutions_match_box_scan():
+    # the scan over every (a, b) in the box, ordered by b then ascending a
+    def scan(n, bound):
+        return [
+            (a, b)
+            for b in range(bound + 1)
+            for a in range(bound + 1)
+            if a * a - a * b + b * b + b == n
+        ]
+
+    for n in range(400):
+        for bound in (0, 1, 2, 5, 13, 2 + isqrt(4 * (n + 1)), isqrt(4 * (n + 1)) + 9):
+            found = [(s.a, s.b) for s in c3_qf_solutions(n, bound)]
+            assert found == scan(n, bound), (n, bound)
+        default = [(s.a, s.b) for s in c3_qf_solutions(n)]
+        assert default == scan(n, 2 + isqrt(4 * (n + 1)))
 
 
 def test_c3_routes_agree():
@@ -154,13 +172,38 @@ def test_count_t_cores_up_to_matches_series():
         assert tuple(count_t_cores_up_to(t, 80)) == ct_count_series(t, 80)
 
 
+def _enumerated_counts(t, max_size):
+    counts = [0] * (max_size + 1)
+    for size, _ in cores._runner_offset_vectors(t, max_size):
+        counts[size] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "t, max_size",
+    [*((t, n) for t in range(2, 13) for n in (0, 1, 30)), (20, 12), (9, 8), (40, 25)],
+)
+def test_count_t_cores_up_to_matches_enumeration(t, max_size):
+    # t > max_size covers runners that stay at offset 0 in every core
+    dp = count_t_cores_up_to(t, max_size)
+    assert dp == _enumerated_counts(t, max_size)
+    assert tuple(dp) == ct_count_series(t, max_size)
+
+
+def test_count_t_cores_up_to_rejects_bad_input():
+    with pytest.raises(ValueError, match="non-negative"):
+        count_t_cores_up_to(3, -1)
+    with pytest.raises(ValueError, match="at least 2"):
+        count_t_cores_up_to(1, 5)
+
+
 def test_count_t_cores_witnesses():
     cc = count_t_cores(6, 2, witnesses=True)
     assert cc.count == 1 and cc.witnesses == ((3, 2, 1),)
     assert count_t_cores(6, 2).count == 1
     assert count_t_cores(2, 3).count == 2
     assert count_t_cores(11, 5).count == count_t_cores(11, 5, witnesses=True).count
-    # t >= 4 counts come from the series; enumeration is the oracle
+    # t >= 4 counts come from the series; the runner DP is the oracle
     for n, t in ((200, 7), (40, 4)):
         assert count_t_cores(n, t).count == count_t_cores_up_to(t, n)[n]
 
@@ -179,9 +222,37 @@ def test_enumeration_budget(monkeypatch):
     # the budget counts offset entries: t times the t-cores of size <= n
     entries = 4 * sum(ct_count_series(4, 20))
     monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries)
-    assert sum(count_t_cores_up_to(4, 20)) * 4 == entries
+    assert sum(1 for _ in cores._runner_offset_vectors(4, 20)) * 4 == entries
+    assert len(enumerate_t_cores(20, 4)) == ct_count_series(4, 20)[20]
     monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries - 1)
     with pytest.raises(ValueError, match="budget"):
-        count_t_cores_up_to(4, 20)
+        next(cores._runner_offset_vectors(4, 20))
     with pytest.raises(ValueError, match="budget"):
         enumerate_t_cores(20, 4)
+    # the count no longer enumerates
+    assert tuple(count_t_cores_up_to(4, 20)) == ct_count_series(4, 20)
+
+
+def test_count_budget_boundary(monkeypatch):
+    entries = cores._dp_row_entries(5, 40)
+    monkeypatch.setattr(cores, "CORE_COUNT_BUDGET", entries)
+    assert tuple(count_t_cores_up_to(5, 40)) == ct_count_series(5, 40)
+    monkeypatch.setattr(cores, "CORE_COUNT_BUDGET", entries - 1)
+    with pytest.raises(ValueError, match="budget"):
+        count_t_cores_up_to(5, 40)
+
+
+def test_verify_core_formulas_budget_sums_every_call(monkeypatch):
+    total = sum(
+        cores._dp_row_entries(t, n)
+        for t, n in ((2, 30), (3, 30), (2, 20), (3, 20), (4, 20))
+    )
+    monkeypatch.setattr(cores, "CORE_COUNT_BUDGET", total)
+    assert verify_core_formulas(n_max=30, series_n_max=20, t_max=4).ok
+    monkeypatch.setattr(cores, "CORE_COUNT_BUDGET", total - 1)
+    calls = []
+    monkeypatch.setattr(cores, "count_t_cores_up_to", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="budget"):
+        verify_core_formulas(n_max=30, series_n_max=20, t_max=4)
+    assert calls == []
+
