@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, count_t_hooks
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, .
     s = len(lam) if pad_to is None else pad_to
     if s < len(lam):
         raise ValueError(f"pad_to={s} is below the number of parts {len(lam)}")
-    return tuple(
-        (lam[i - 1] if i <= len(lam) else 0) - i + s for i in range(1, s + 1)
-    )
+    padding = range(s - len(lam) - 1, -1, -1)
+    # enumerate(lam, 1 - s) counts j = i - s for the 1-based row i
+    return (*[p - j for j, p in enumerate(lam, 1 - s)], *padding)
 
 
 # Most runners one abacus may have. Storage is linear in t, about 160 bytes
@@ -123,7 +123,8 @@ def runners(
 def _decode(rows: Sequence[Iterable[int]]) -> Partition:
     # The partition with structure numbers t*r + c for each row r of runner c.
     t = len(rows)
-    return _partition_from_values(t * r + c for c, rs in enumerate(rows) for r in rs)
+    values = sorted((t * r + c for c, rs in enumerate(rows) for r in rs), reverse=True)
+    return _partition_from_descending(values)
 
 
 def core_from_counts(counts: Iterable[int]) -> Partition:
@@ -149,10 +150,10 @@ def partition_from_abacus(ab: Abacus) -> Partition:
     return _decode([[r - 1 for r in ab.column_rows(c)] for c in range(ab.t)])
 
 
-def _partition_from_values(values: Iterable[int]) -> Partition:
-    vs = sorted(values, reverse=True)
-    s = len(vs)
-    return Partition([p for i, b in enumerate(vs, start=1) if (p := b + i - s) > 0])
+def _partition_from_descending(values: Sequence[int]) -> Partition:
+    # The i-th largest of s structure numbers B is the part B + i - s.
+    shifts = enumerate(values, 1 - len(values))
+    return Partition([p for i, b in shifts if (p := b + i) > 0])
 
 
 def slide_bead(ab: Abacus, bead: tuple[int, int]) -> Abacus:
@@ -194,7 +195,7 @@ def quotient_components(ab: Abacus) -> tuple[Partition, ...]:
     well defined.
     """
     return tuple(
-        _partition_from_values(r - 1 for r in ab.column_rows(c))
+        _partition_from_descending([r - 1 for r in reversed(ab.column_rows(c))])
         for c in range(ab.t)
     )
 
@@ -208,7 +209,7 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     rows = runners(lam, t)
     return CoreQuotient(
         core=core_from_counts(map(len, rows)),
-        quotient=tuple(map(_partition_from_values, rows)),
+        quotient=tuple(map(_partition_from_descending, rows)),
         t=t,
     )
 
@@ -218,9 +219,11 @@ def compose(cq: CoreQuotient) -> Partition:
     t = cq.t
     if len(cq.quotient) != t:
         raise ValueError(f"quotient must have {t} components, got {len(cq.quotient)}")
-    if count_t_hooks(cq.core, t) != 0:
+    rows = runners(cq.core, t)
+    # A t-core's runners are gap-free: their descending rows start at count - 1.
+    if any(rs and rs[0] != len(rs) - 1 for rs in rows):
         raise ValueError(f"core {tuple(cq.core)} has a {t}-hook")
-    counts = [len(rs) for rs in runners(cq.core, t)]
+    counts = list(map(len, rows))
     # Grow the padding (one bead lands atop every runner per t extra zero
     # parts) until each runner has at least as many beads as its component
     # has parts.

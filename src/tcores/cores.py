@@ -180,14 +180,35 @@ def c3_qf_count(n: int, bound: int | None = None) -> int:
     return len(c3_qf_solutions(n, bound))
 
 
+# Most coefficient updates one ct_count_series call may make. An update took
+# about 50 ns on a 2.1 GHz Xeon (t = 5, N = 60,000: 9.5e7 updates, 5.0 s), so
+# the budget caps a call at about 5 s.
+SERIES_UPDATE_BUDGET = 100_000_000
+
+
+def _series_updates(t: int, truncation: int) -> int:
+    """Upper bound on ct_count_series's coefficient updates: t passes over N
+    with at most 2 isqrt(N/t) pentagonal terms, and one with 2 isqrt(N)."""
+    n = max(truncation, 0)  # sparse_product rejects a negative N itself
+    return 2 * n * (t * isqrt(n // t) + isqrt(n))
+
+
 def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
     """c_t(0..N) via the product formula prod (1-q^{tm})^t / (1-q^m).
 
     Multiplying first keeps every intermediate coefficient small: E(q^t)^t
     and the quotient c_t grow polynomially, while 1/E(q) grows like p(n).
+    Raises ValueError before any work when _series_updates exceeds
+    SERIES_UPDATE_BUDGET.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
+    updates = _series_updates(t, truncation)
+    if updates > SERIES_UPDATE_BUDGET:
+        raise ValueError(
+            f"the c_{t} series to n={truncation} makes up to {updates} coefficient "
+            f"updates, over the budget of {SERIES_UPDATE_BUDGET}"
+        )
     return sparse_product([(t, t), (1, -1)], truncation)
 
 

@@ -78,12 +78,10 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Ferrers-Young diagram (column lengths become parts)."""
-    if not lam:
-        return Partition()
-    cols = [0] * lam[0]
-    for part in lam:
-        for j in range(part):
-            cols[j] += 1
+    # Column j has length #{parts >= j}, which is i for lam_{i+1} < j <= lam_i.
+    cols: list[int] = []
+    for i in range(len(lam), 0, -1):
+        cols += [i] * (lam[i - 1] - (lam[i] if i < len(lam) else 0))
     return Partition(cols)
 
 

@@ -206,6 +206,19 @@ def test_compose_rejects_non_core():
         compose(cq)
 
 
+def test_compose_core_check_matches_hook_count():
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for t in range(2, 8):
+                cq = CoreQuotient(core=lam, quotient=(Partition(),) * t, t=t)
+                if count_t_hooks(lam, t) == 0:
+                    assert compose(cq) == lam
+                    continue
+                with pytest.raises(ValueError) as info:
+                    compose(cq)
+                assert str(info.value) == f"core {tuple(lam)} has a {t}-hook"
+
+
 def test_compose_size_arithmetic():
     # core (2) with quotient of total size k composes to a partition of 2+3k
     for quotient in _tuples_of_partitions(3, 4):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tcores import abacus, cli, cores, distribution
+from tcores import abacus, cli, cores, distribution, nekrasov
 
 
 def run(capsys, *argv):
@@ -222,6 +222,48 @@ def test_sweep_cell_budget(capsys, monkeypatch):
     assert "budget" in captured.err
 
 
+def test_nmax_budget_boundary(capsys, monkeypatch):
+    assert 4000 <= distribution.NMAX_BUDGET  # every vanishing-sweeps command fits
+    single = ["verify", "part1", "--ell", "5", "--a1", "1", "--a2", "1", "--nmax", "50"]
+    for argv in (["verify", "part2", "--ell", "2", "--nmax", "50"], single):
+        monkeypatch.setattr(distribution, "NMAX_BUDGET", 50)
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.endswith("VERIFIED\n")
+        monkeypatch.setattr(distribution, "NMAX_BUDGET", 49)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "no-check --mmax 32",
+        "no-check --mmax 1000000000",
+        "verify no-identity --mmax 32",
+        "cores-count --n 100000 --t 5",
+        "cores-count --n 100000 --t 5 --witnesses",
+        "verify part1 --ell 5 --nmax 100001",
+        "verify part2 --ell 2 --nmax 100001",
+        "verify part1 --ell 5 --a1 1 --a2 1 --nmax 100001",
+    ],
+)
+def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("did work before the budget check")
+
+    monkeypatch.setattr(nekrasov, "_scaled_product_sides", no_work)
+    monkeypatch.setattr(nekrasov, "_scaled_partition_side", no_work)
+    monkeypatch.setattr(cores, "sparse_product", no_work)
+    monkeypatch.setattr(cores, "c2", no_work)
+    monkeypatch.setattr(cores, "c3_divisor_sum", no_work)
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
 def test_verify_builds_no_engine(capsys, monkeypatch):
     builds = []
 
@@ -252,7 +294,10 @@ EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
         "verify part1 --ell 13",
         "verify part2 --ell 11",
         "verify part2 --ell 23",
+        "verify part1 --ell 13 --nmax 4000",
         "verify core-formulas",
+        "no-check",
+        "cores-count --n 200 --t 7",
     ],
 )
 def test_verify_output_matches_recorded_digest(capsys, argv):

@@ -242,6 +242,38 @@ def test_count_budget_boundary(monkeypatch):
         count_t_cores_up_to(5, 40)
 
 
+def test_series_updates_bound_the_real_count():
+    # sparse_product's inner loop takes each pentagonal step d <= n once per n
+    def real(t, n):
+        steps = [k * (3 * k + sign) // 2 for k in range(1, n + 1) for sign in (-1, 1)]
+        return sum(
+            abs(e) * (n - s * g + 1)
+            for s, e in ((t, t), (1, -1))
+            for g in steps
+            if 1 <= s * g <= n
+        )
+
+    for t in (4, 5, 7, 9, 50):
+        for n in (0, 1, 10, 100, 1000):
+            assert real(t, n) <= cores._series_updates(t, n) <= 2 * real(t, n) + 2 * t * n
+
+
+def test_series_budget_boundary(monkeypatch):
+    # cores-count --n 200 --t 7 fits
+    assert cores._series_updates(7, 200) <= cores.SERIES_UPDATE_BUDGET
+    updates = cores._series_updates(5, 40)
+    monkeypatch.setattr(cores, "SERIES_UPDATE_BUDGET", updates)
+    assert ct_count_series(5, 40) == tuple(count_t_cores_up_to(5, 40))
+    monkeypatch.setattr(cores, "SERIES_UPDATE_BUDGET", updates - 1)
+    calls = []
+    monkeypatch.setattr(cores, "sparse_product", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="budget"):
+        ct_count_series(5, 40)
+    with pytest.raises(ValueError, match="budget"):
+        count_t_cores(40, 5)
+    assert calls == []
+
+
 def test_verify_core_formulas_budget_sums_every_call(monkeypatch):
     total = sum(
         cores._dp_row_entries(t, n)

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from tcores import nekrasov
 from tcores.nekrasov import (
     ZPoly,
     check_identity,
@@ -9,7 +11,68 @@ from tcores.nekrasov import (
     product_side,
     specialize,
 )
+from tcores.partitions import enumerate_partitions, hook_rows
 from tcores.series import eta_inverse_power_series, sparse_product
+
+_ONE = ZPoly([1])
+
+
+def oracle_partition_side(m: int) -> ZPoly:
+    """Per-m expansion in Fractions, one hook factor (1 - z/h^2) at a time."""
+    total = ZPoly()
+    for lam in enumerate_partitions(m):
+        prod = _ONE
+        for row in hook_rows(lam):
+            for h in row:
+                prod = prod * ZPoly([1, Fraction(-1, h * h)])
+        total = total + prod
+    return total
+
+
+def _binomial_z_minus_one(k: int) -> ZPoly:
+    # C(z-1, k) = (z-1)(z-2)...(z-k) / k!
+    poly = _ONE
+    for i in range(1, k + 1):
+        poly = poly * ZPoly([-i, 1])
+    return poly * Fraction(1, factorial(k))
+
+
+def oracle_product_side(m: int) -> ZPoly:
+    """q^m coefficient of prod_{n<=m} (1 - q^n)^(z-1), one factor at a time.
+
+    Each factor expands as sum_k (-1)^k C(z-1, k) q^(n*k).
+    """
+    series: list[ZPoly] = [_ONE] + [ZPoly()] * m
+    for n in range(1, m + 1):
+        factor = [
+            ZPoly([(-1) ** k]) * _binomial_z_minus_one(k)
+            for k in range(m // n + 1)
+        ]
+        out: list[ZPoly] = [ZPoly()] * (m + 1)
+        for j, coeff in enumerate(series):
+            if coeff:
+                for k, f in enumerate(factor):
+                    if j + n * k <= m:
+                        out[j + n * k] = out[j + n * k] + coeff * f
+        series = out
+    return series[m]
+
+
+def oracle_mismatches(m_max: int, partition_side=oracle_partition_side):
+    """(m, first differing z-degree) for each m <= m_max where the sides differ."""
+    mismatches = []
+    for m in range(m_max + 1):
+        lhs, rhs = oracle_product_side(m), partition_side(m)
+        if lhs != rhs:
+            top = max(lhs.degree, rhs.degree)
+            bad = next(
+                k
+                for k in range(top + 1)
+                if (lhs.coeffs[k] if k <= lhs.degree else 0)
+                != (rhs.coeffs[k] if k <= rhs.degree else 0)
+            )
+            mismatches.append((m, bad))
+    return tuple(mismatches)
 
 
 def test_zpoly_arithmetic():
@@ -74,3 +137,68 @@ def test_specialize_euler_and_jacobi():
 
 def test_specialize_at_zero_gives_partition_counts():
     assert specialize(9, 0) == eta_inverse_power_series(1, 9)
+
+
+def test_sides_match_fraction_oracle():
+    for m in range(15):
+        assert partition_side(m, guard=14) == oracle_partition_side(m)
+        assert product_side(m, guard=14) == oracle_product_side(m)
+
+
+def test_check_identity_matches_oracle():
+    for m_max in (0, 1, 5, 12):
+        report = check_identity(m_max)
+        assert report.mismatches == oracle_mismatches(m_max) == ()
+        assert report.m_max == m_max
+
+
+def test_specialize_matches_oracle():
+    for z in (0, 2, 4, Fraction(1, 3)):
+        values = specialize(12, z)
+        assert all(type(v) is Fraction for v in values)
+        assert values == tuple(oracle_partition_side(m)(z) for m in range(13))
+
+
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        ({(5, 3): 1}, ((5, 3),)),
+        ({(0, 0): -1}, ((0, 0),)),
+        ({(9, 0): 1, (12, 12): 2}, ((9, 0), (12, 12))),
+        ({(7, 5): -1, (7, 2): 1}, ((7, 2),)),  # the first bad z-degree is reported
+    ],
+)
+def test_injected_coefficient_gives_oracle_mismatch(monkeypatch, bad, expected):
+    scaled = nekrasov._scaled_partition_side
+
+    def injected(m):
+        coeffs = scaled(m)
+        for (bad_m, k), delta in bad.items():
+            if m == bad_m:
+                coeffs[k] += delta
+        return coeffs
+
+    def injected_oracle(m):
+        coeffs = list(oracle_partition_side(m).coeffs)
+        for (bad_m, k), delta in bad.items():
+            if m == bad_m:
+                coeffs[k] += Fraction(delta, factorial(m) ** 2)
+        return ZPoly(coeffs)
+
+    monkeypatch.setattr(nekrasov, "_scaled_partition_side", injected)
+    report = check_identity(12)
+    assert report.mismatches == expected == oracle_mismatches(12, injected_oracle)
+    assert not report.ok
+
+
+def test_identity_budget_boundary(monkeypatch):
+    # p(m) * m hook factors for every m <= 9
+    factors = sum(m for m in range(10) for _ in enumerate_partitions(m))
+    monkeypatch.setattr(nekrasov, "NO_IDENTITY_BUDGET", factors)
+    assert check_identity(9).ok
+    monkeypatch.setattr(nekrasov, "NO_IDENTITY_BUDGET", factors - 1)
+    calls = []
+    monkeypatch.setattr(nekrasov, "_scaled_product_sides", calls.append)
+    with pytest.raises(ValueError, match="budget"):
+        check_identity(9)
+    assert calls == []

@@ -109,6 +109,17 @@ def test_conjugate_examples():
     assert conjugate(Partition()) == ()
 
 
+def test_conjugate_matches_cell_loop():
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            cols = [0] * (lam[0] if lam else 0)
+            for part in lam:
+                for j in range(part):
+                    cols[j] += 1
+            assert conjugate(lam) == tuple(cols)
+            assert type(conjugate(lam)) is Partition
+
+
 @given(partitions_st)
 def test_conjugate_involutive(lam):
     assert conjugate(conjugate(lam)) == lam
