@@ -3,12 +3,12 @@
 A partition with s parts (zeros allowed as padding) has structure numbers
 B_i = lam_i - i + s, strictly decreasing. On t runners, B = t*r + c is a bead
 in row r >= 0 of runner c. runners(lam, t) lists each runner's rows, and one
-decoder turns runner rows back into a partition. Sliding a bead up a row
-removes a rim t-hook, so the t-core keeps only each runner's bead count
-(core_from_counts; a t-core is its vector of runner counts, as in Garvan,
-Kim and Stanton, "Cranks and t-cores", 1990), and each runner's rows, read
-as one-runner structure numbers, decode to one t-quotient component. Abacus
-is the same picture as a validated set of (row + 1, runner) beads.
+decoder turns runner rows back into a partition. Moving B to a free B - t
+(a bead one row up) removes a rim t-hook, so the t-core keeps only each
+runner's bead count (core_from_counts; a t-core is its vector of runner
+counts, as in Garvan, Kim and Stanton, "Cranks and t-cores", 1990), and
+each runner's rows, read as one-runner structure numbers, decode to one
+t-quotient component.
 
 Bead-count convention: unless a caller supplies one, abaci are padded with
 zero parts so the bead count s is the least multiple of t with s >= #parts.
@@ -20,42 +20,9 @@ produce the same labelled quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .partitions import Partition
-
-
-@dataclass(frozen=True)
-class Abacus:
-    """t runners holding beads at positions (row, column), row >= 1."""
-
-    t: int
-    beads: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if self.t < 2:
-            raise ValueError(f"runner count must be at least 2, got {self.t}")
-        object.__setattr__(self, "beads", frozenset(self.beads))
-        for r, c in self.beads:
-            if r < 1 or not 0 <= c < self.t:
-                raise ValueError(f"bead {(r, c)} outside runners 0..{self.t - 1}")
-
-    def column_rows(self, c: int) -> list[int]:
-        """Occupied rows of runner c, ascending."""
-        return sorted(r for r, cc in self.beads if cc == c)
-
-
-class CanonicalCoreAbacus(NamedTuple):
-    """Unique per-runner bead counts (a_0, ..., a_{t-1}) of a t-core, a_0 = 0."""
-
-    column_counts: tuple[int, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.column_counts)
-
-    def partition(self) -> Partition:
-        return core_from_counts(self.column_counts)
 
 
 @dataclass(frozen=True)
@@ -135,47 +102,10 @@ def core_from_counts(counts: Iterable[int]) -> Partition:
     return _decode([range(a) for a in counts])
 
 
-def abacus_from_partition(
-    lam: Partition, t: int, bead_count: int | None = None
-) -> Abacus:
-    """Abacus of lam on t runners; default bead count per the padding rule."""
-    beads = frozenset(
-        (r + 1, c) for c, rs in enumerate(runners(lam, t, bead_count)) for r in rs
-    )
-    return Abacus(t, beads)
-
-
-def partition_from_abacus(ab: Abacus) -> Partition:
-    """Decode an abacus back to its partition (trailing zero parts dropped)."""
-    return _decode([[r - 1 for r in ab.column_rows(c)] for c in range(ab.t)])
-
-
 def _partition_from_descending(values: Sequence[int]) -> Partition:
     # The i-th largest of s structure numbers B is the part B + i - s.
     shifts = enumerate(values, 1 - len(values))
     return Partition([p for i, b in shifts if (p := b + i) > 0])
-
-
-def slide_bead(ab: Abacus, bead: tuple[int, int]) -> Abacus:
-    """Move one bead up a row; the decoded partition loses one rim t-hook."""
-    if bead not in ab.beads:
-        raise ValueError(f"no bead at {bead}")
-    r, c = bead
-    if r == 1:
-        raise ValueError(f"bead {bead} is already in the top row")
-    if (r - 1, c) in ab.beads:
-        raise ValueError(f"target position {(r - 1, c)} is occupied")
-    return Abacus(ab.t, (ab.beads - {bead}) | {(r - 1, c)})
-
-
-def compact_columns(ab: Abacus) -> Abacus:
-    """Slide every bead maximally upward in its runner (order-independent)."""
-    beads = frozenset(
-        (r, c)
-        for c in range(ab.t)
-        for r in range(1, len(ab.column_rows(c)) + 1)
-    )
-    return Abacus(ab.t, beads)
 
 
 def t_core(lam: Partition, t: int) -> Partition:
@@ -183,21 +113,6 @@ def t_core(lam: Partition, t: int) -> Partition:
     if t > max(lam.size, 1):  # t >= 2 and no hook of lam reaches length t
         return lam
     return core_from_counts(map(len, runners(lam, t)))
-
-
-def quotient_components(ab: Abacus) -> tuple[Partition, ...]:
-    """Decode each runner of ab on its own, as a one-runner abacus.
-
-    Beads of runner c in rows r_1 < ... < r_m become the one-runner structure
-    numbers r_j - 1 with bead count m. Unchanged when the bead count grows by
-    a full multiple of t (each runner then gains row-1 beads, i.e. zero
-    padding), which is why the multiple-of-t convention makes the labelling
-    well defined.
-    """
-    return tuple(
-        _partition_from_descending([r - 1 for r in reversed(ab.column_rows(c))])
-        for c in range(ab.t)
-    )
 
 
 def decompose(lam: Partition, t: int) -> CoreQuotient:
@@ -236,20 +151,3 @@ def compose(cq: CoreQuotient) -> Partition:
         [structure_numbers(comp, pad_to=a) for comp, a in zip(cq.quotient, counts)]
     )
 
-
-def canonicalize_core_abacus(ab: Abacus) -> CanonicalCoreAbacus:
-    """Unique bead-count tuple (0, a_1, ..., a_{t-1}) for a t-core abacus.
-
-    The abacus must be in core form: every runner's beads fill rows 1..a_c
-    with no gaps. The shift (a_0, ..., a_{t-1}) -> (a_1, ..., a_{t-1}, a_0 - 1)
-    preserves the decoded partition and is applied until runner 0 is empty.
-    """
-    counts = []
-    for c in range(ab.t):
-        rows = ab.column_rows(c)
-        if rows != list(range(1, len(rows) + 1)):
-            raise ValueError(f"runner {c} has gaps: occupied rows {rows}")
-        counts.append(len(rows))
-    while counts[0] != 0:
-        counts = counts[1:] + [counts[0] - 1]
-    return CanonicalCoreAbacus(tuple(counts))

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import cores, distribution, nekrasov
+from . import cores, distribution, nekrasov, partitions
 from .abacus import decompose, t_core
 from .partitions import Partition, count_t_hooks, hook_multiset, hook_rows
 
@@ -51,6 +51,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_hooks(args) -> int:
     lam = args.partition
+    if lam.size > partitions.HOOK_CELL_BUDGET:
+        raise UsageError(
+            f"the hook grid has {lam.size} cells, over the budget of "
+            f"{partitions.HOOK_CELL_BUDGET}"
+        )
     rows = hook_rows(lam)
     ts = args.t or []
     if args.format == "json":
@@ -207,7 +212,7 @@ def _verify_part(args, lines: list[str]) -> int:
 
 
 def _verify_no_identity(args, lines: list[str]) -> int:
-    report = nekrasov.check_identity(args.mmax, guard=max(nekrasov.DEFAULT_GUARD, args.mmax))
+    report = nekrasov.check_identity(args.mmax)
     if report.ok:
         lines.append(f"hook-length identity verified for all q-degrees <= {report.m_max}")
         return 0
@@ -310,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default 2000 (part1/part2) or 500 (core-formulas)",
     )
-    p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_GUARD)
+    p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_MMAX)
     p.add_argument("--series-nmax", type=int, default=200, dest="series_nmax")
     p.add_argument("--tmax", type=int, default=7)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("no-check", help="shorthand for 'verify no-identity'")
-    p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_GUARD)
+    p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_MMAX)
     add_common(p)
     p.set_defaults(func=cmd_verify, target="no-identity", nmax=None)
 

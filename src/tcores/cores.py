@@ -17,7 +17,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .abacus import core_from_counts
-from .partitions import Partition, count_t_hooks, enumerate_partitions
+from .partitions import Partition
 from .series import sparse_product
 
 
@@ -366,27 +366,20 @@ def count_t_cores_up_to(t: int, max_size: int) -> list[int]:
     return counts
 
 
-def enumerate_t_cores(n: int, t: int, mode: str = "abacus") -> list[Partition]:
+def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     """All t-core partitions of n, in reverse-lexicographic order.
 
-    mode="abacus" enumerates runner bead-count vectors and decodes them;
-    mode="oracle" filters enumerate_partitions(n) by the t-hook count and is
-    the brute-force cross-check (keep n small there).
+    Each runner offset vector of size n decodes to one core; the cost is
+    bounded by CORE_ENUMERATION_BUDGET (see _runner_offset_vectors).
     """
     if n < 0 or t < 2:
         raise ValueError(f"need n >= 0 and t >= 2, got n={n}, t={t}")
-    if mode == "abacus":
-        cores = []
-        for size, offs in _runner_offset_vectors(t, n):
-            if size == n:
-                low = min(offs)
-                cores.append(core_from_counts(x - low for x in offs))
-        return sorted(cores, reverse=True)
-    if mode == "oracle":
-        return [
-            lam for lam in enumerate_partitions(n) if count_t_hooks(lam, t) == 0
-        ]
-    raise ValueError(f"unknown mode {mode!r}")
+    cores = []
+    for size, offs in _runner_offset_vectors(t, n):
+        if size == n:
+            low = min(offs)
+            cores.append(core_from_counts(x - low for x in offs))
+    return sorted(cores, reverse=True)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Iterable
 from .partitions import enumerate_partitions, hook_rows
 from .series import eta_inverse_power_series
 
-DEFAULT_GUARD = 12
+DEFAULT_MMAX = 12
 
 
 class ZPoly:
@@ -101,20 +101,24 @@ class ZPoly:
         return f"ZPoly({terms})"
 
 
-def _check_guard(m: int, guard: int) -> None:
-    if m < 0:
-        raise ValueError(f"q-degree must be non-negative, got {m}")
-    if m > guard:
-        raise ValueError(
-            f"q-degree {m} exceeds the guard {guard}; pass a larger guard "
-            "explicitly to go further"
-        )
-
-
 # Most hook factors (h^2 - z), p(m) * m summed over m <= m_max, that one
-# check_identity may multiply in: m_max = 31 is 961,622 factors and took
+# call may multiply in: m_max = 31 is 961,622 factors and check_identity took
 # 4.5 s on a 2.1 GHz Xeon, and m_max = 32 is refused.
 NO_IDENTITY_BUDGET = 1_000_000
+
+
+def _check_budget(m_max: int) -> None:
+    """Refuse, before any work, m_max < 0 or hook factors over the budget."""
+    if m_max < 0:
+        raise ValueError(f"q-degree must be non-negative, got {m_max}")
+    # Past m = isqrt(2 * budget) + 1, the sum's lower bound m(m+1)/2 is over.
+    top = min(m_max, isqrt(2 * NO_IDENTITY_BUDGET) + 1)
+    factors = sum(p * m for m, p in enumerate(eta_inverse_power_series(1, top)))
+    if factors > NO_IDENTITY_BUDGET:
+        raise ValueError(
+            f"the hook-length check to q-degree {m_max} multiplies at least "
+            f"{factors} hook factors, over the budget of {NO_IDENTITY_BUDGET}"
+        )
 
 
 def _scaled_partition_side(m: int) -> list[int]:
@@ -147,19 +151,19 @@ def _scaled_product_sides(m_max: int) -> list[list[int]]:
     return g
 
 
-def partition_side(m: int, guard: int = DEFAULT_GUARD) -> ZPoly:
+def partition_side(m: int) -> ZPoly:
     """Coefficient of q^m on the hook-product side, as a polynomial in z.
 
     Sum over partitions of m of prod over hook lengths h of (1 - z/h^2).
     Its constant term is p(m) and its z-degree is m.
     """
-    _check_guard(m, guard)
+    _check_budget(m)
     return ZPoly(Fraction(c, factorial(m) ** 2) for c in _scaled_partition_side(m))
 
 
-def product_side(m: int, guard: int = DEFAULT_GUARD) -> ZPoly:
+def product_side(m: int) -> ZPoly:
     """Coefficient of q^m in prod_{n=1}^{m} (1 - q^n)^(z-1)."""
-    _check_guard(m, guard)
+    _check_budget(m)
     return ZPoly(Fraction(c, factorial(m)) for c in _scaled_product_sides(m)[m])
 
 
@@ -175,21 +179,13 @@ class IdentityReport:
         return not self.mismatches
 
 
-def check_identity(m_max: int, guard: int = DEFAULT_GUARD) -> IdentityReport:
+def check_identity(m_max: int) -> IdentityReport:
     """Compare both sides of the identity at every q-degree m <= m_max.
 
     Raises ValueError before any work when the partition side's hook factors,
     p(m) * m summed over m <= m_max, exceed NO_IDENTITY_BUDGET.
     """
-    _check_guard(m_max, guard)
-    # Past m = isqrt(2 * budget) + 1, the sum's lower bound m(m+1)/2 is over.
-    top = min(m_max, isqrt(2 * NO_IDENTITY_BUDGET) + 1)
-    factors = sum(p * m for m, p in enumerate(eta_inverse_power_series(1, top)))
-    if factors > NO_IDENTITY_BUDGET:
-        raise ValueError(
-            f"the hook-length check to q-degree {m_max} multiplies at least "
-            f"{factors} hook factors, over the budget of {NO_IDENTITY_BUDGET}"
-        )
+    _check_budget(m_max)
     mismatches = []
     for m, g in enumerate(_scaled_product_sides(m_max)):
         pairs = zip((factorial(m) * c for c in g), _scaled_partition_side(m))
@@ -199,13 +195,11 @@ def check_identity(m_max: int, guard: int = DEFAULT_GUARD) -> IdentityReport:
     return IdentityReport(m_max=m_max, mismatches=tuple(mismatches))
 
 
-def specialize(
-    m_max: int, z: Fraction | int, guard: int = DEFAULT_GUARD
-) -> tuple[Fraction, ...]:
+def specialize(m_max: int, z: Fraction | int) -> tuple[Fraction, ...]:
     """Evaluate the hook-product side at a fixed z for every m <= m_max.
 
     z = 2 yields the coefficients of prod (1-q^n); z = 4 those of
     prod (1-q^n)^3.
     """
-    _check_guard(m_max, guard)
-    return tuple(partition_side(m, guard)(z) for m in range(m_max + 1))
+    _check_budget(m_max)
+    return tuple(partition_side(m)(z) for m in range(m_max + 1))

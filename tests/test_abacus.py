@@ -4,25 +4,43 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcores.abacus import (
-    Abacus,
     CoreQuotient,
-    abacus_from_partition,
-    canonicalize_core_abacus,
-    compact_columns,
     compose,
     core_from_counts,
     decompose,
     default_bead_count,
-    partition_from_abacus,
-    quotient_components,
     runners,
-    slide_bead,
     structure_numbers,
     t_core,
 )
+from tcores.cores import enumerate_t_cores
 from tcores.partitions import Partition, count_t_hooks, enumerate_partitions
 
-EXAMPLE_ABACUS = Abacus(3, frozenset({(3, 2), (2, 2), (2, 0), (1, 1)}))
+
+# Beta-set oracle, independent of the runner code: lam padded to s parts is
+# the set B of its structure numbers lam_i - i + s.
+def beta_set(lam, s):
+    return {p - i + s for i, p in enumerate([*lam, *[0] * (s - len(lam))], 1)}
+
+
+def beta_decode(beta):
+    # the j-th smallest b gives the part b - j
+    parts = [b - j for j, b in enumerate(sorted(beta))]
+    return Partition(sorted(filter(None, parts), reverse=True))
+
+
+def beta_slides(beta, t):
+    # b -> b - t onto a free position removes one rim t-hook (James)
+    return [b for b in beta if b >= t and b - t not in beta]
+
+
+def beta_core(beta, t):
+    # compact each residue class c mod t down to c, c + t, ...
+    return {c + t * k for c in range(t) for k in range(sum(b % t == c for b in beta))}
+
+
+def beta_quotient(beta, t):
+    return tuple(beta_decode({b // t for b in beta if b % t == c}) for c in range(t))
 
 
 def test_structure_numbers_examples():
@@ -41,11 +59,12 @@ def test_structure_numbers_padding_shift():
 
 
 def test_abacus_from_partition_examples():
-    ab = abacus_from_partition(Partition((5, 3, 2, 1)), 3, bead_count=4)
-    assert ab == EXAMPLE_ABACUS
-    assert abacus_from_partition(Partition(), 2).beads == frozenset()
-    ab = abacus_from_partition(Partition((2,)), 3)
-    assert ab.beads == frozenset({(2, 1), (1, 1), (1, 0)})
+    lam = Partition((5, 3, 2, 1))
+    assert beta_set(lam, 4) == {8, 5, 3, 1} == set(structure_numbers(lam))
+    assert beta_set(Partition(), 2) == {1, 0}
+    # (2,) padded to 3 parts has structure numbers 4, 1, 0
+    assert beta_set(Partition((2,)), 3) == {4, 1, 0}
+    assert runners(Partition((2,)), 3) == ((0,), (1, 0), ())
 
 
 def test_default_bead_count_is_least_multiple_of_t():
@@ -54,20 +73,12 @@ def test_default_bead_count_is_least_multiple_of_t():
     assert default_bead_count(6, 3) == 6
 
 
-def test_abacus_validation():
-    with pytest.raises(ValueError):
-        Abacus(1, frozenset())
-    with pytest.raises(ValueError):
-        Abacus(3, frozenset({(0, 1)}))
-    with pytest.raises(ValueError):
-        Abacus(3, frozenset({(1, 3)}))
-
-
 def test_partition_from_abacus_examples():
-    assert partition_from_abacus(EXAMPLE_ABACUS) == (5, 3, 2, 1)
-    assert partition_from_abacus(Abacus(2, frozenset())) == ()
-    ab = Abacus(3, frozenset({(1, 0), (1, 1), (1, 2), (2, 2)}))
-    assert partition_from_abacus(ab) == (2,)
+    assert beta_decode({8, 5, 3, 1}) == (5, 3, 2, 1)
+    assert beta_decode({2, 1, 0}) == beta_decode(set()) == ()
+    assert beta_decode({0, 1, 2, 5}) == (2,)
+    # runner counts (0, 1, 2) on 3 runners: structure numbers 1, 2, 5
+    assert core_from_counts((0, 1, 2)) == beta_decode({1, 2, 5}) == (3, 1, 1)
 
 
 def test_abacus_round_trip_any_padding():
@@ -75,39 +86,33 @@ def test_abacus_round_trip_any_padding():
         for lam in enumerate_partitions(n):
             for t in (2, 3, 4):
                 for s in range(len(lam), len(lam) + 2 * t + 1):
-                    ab = abacus_from_partition(lam, t, bead_count=s)
-                    assert partition_from_abacus(ab) == lam
+                    beta = beta_set(lam, s)
+                    rows = runners(lam, t, bead_count=s)
+                    assert {t * r + c for c, rs in enumerate(rows) for r in rs} == beta
+                    assert beta_decode(beta) == lam
 
 
 def test_slide_bead_drops_size_by_t():
-    before = partition_from_abacus(EXAMPLE_ABACUS)
-    after = partition_from_abacus(slide_bead(EXAMPLE_ABACUS, (2, 0)))
-    assert before.size == 11 and after.size == 8
+    beta = {8, 5, 3, 1}  # (5, 3, 2, 1), size 11
+    assert sorted(beta_slides(beta, 3)) == [3, 5]  # 8 - 3 = 5 is taken
+    assert beta_decode(beta - {3} | {0}) == (5, 3)  # size 8
 
-    single = Abacus(2, frozenset({(2, 0)}))
-    assert partition_from_abacus(single) == (2,)
-    assert partition_from_abacus(slide_bead(single, (2, 0))) == ()
-
-
-def test_slide_bead_preconditions():
-    with pytest.raises(ValueError):
-        slide_bead(EXAMPLE_ABACUS, (1, 1))  # top row
-    with pytest.raises(ValueError):
-        slide_bead(EXAMPLE_ABACUS, (3, 0))  # no bead there
-    with pytest.raises(ValueError):
-        slide_bead(EXAMPLE_ABACUS, (3, 2))  # target (2,2) occupied
+    assert beta_decode({2}) == (2,)
+    assert beta_slides({2}, 2) == [2]
+    assert beta_decode({0}) == ()
 
 
 def test_every_slide_removes_one_rim_hook():
-    # any legal slide drops the size by exactly t and yields a valid partition
+    # any legal slide drops the size by exactly t and keeps the t-core
     for n in range(2, 10):
         for lam in enumerate_partitions(n):
             for t in (2, 3):
-                ab = abacus_from_partition(lam, t)
-                for r, c in ab.beads:
-                    if r > 1 and (r - 1, c) not in ab.beads:
-                        slid = partition_from_abacus(slide_bead(ab, (r, c)))
-                        assert slid.size == n - t
+                beta = beta_set(lam, default_bead_count(len(lam), t))
+                for b in beta_slides(beta, t):
+                    slid = beta_decode(beta - {b} | {b - t})
+                    assert slid.size == n - t
+                    assert count_t_hooks(slid, t) == count_t_hooks(lam, t) - 1
+                    assert t_core(slid, t) == t_core(lam, t)
 
 
 def test_t_core_examples():
@@ -132,17 +137,11 @@ def test_t_core_independent_of_slide_order():
             for t in (2, 3):
                 expected = t_core(lam, t)
                 for _ in range(3):
-                    ab = abacus_from_partition(lam, t)
-                    while True:
-                        moves = [
-                            (r, c)
-                            for r, c in ab.beads
-                            if r > 1 and (r - 1, c) not in ab.beads
-                        ]
-                        if not moves:
-                            break
-                        ab = slide_bead(ab, rng.choice(moves))
-                    assert partition_from_abacus(ab) == expected
+                    beta = beta_set(lam, default_bead_count(len(lam), t))
+                    while moves := beta_slides(beta, t):
+                        b = rng.choice(moves)
+                        beta = beta - {b} | {b - t}
+                    assert beta_decode(beta) == expected
 
 
 def test_decompose_examples():
@@ -189,8 +188,6 @@ def _tuples_of_partitions(t, total):
 
 @pytest.mark.parametrize("t", [2, 3, 5])
 def test_decompose_inverts_compose(t):
-    from tcores.cores import enumerate_t_cores
-
     for total in range(11):
         for core_size in range(total % t, total + 1, t):
             quotient_total = (total - core_size) // t
@@ -231,44 +228,40 @@ def test_padding_invariance():
         for lam in enumerate_partitions(n):
             for t in (2, 3, 4):
                 s = default_bead_count(len(lam), t)
-                ab1 = abacus_from_partition(lam, t, bead_count=s)
-                ab2 = abacus_from_partition(lam, t, bead_count=s + t)
-                assert quotient_components(ab1) == quotient_components(ab2)
-                assert partition_from_abacus(
-                    compact_columns(ab1)
-                ) == partition_from_abacus(compact_columns(ab2))
+                beta1, beta2 = beta_set(lam, s), beta_set(lam, s + t)
+                assert beta_quotient(beta1, t) == beta_quotient(beta2, t)
+                assert beta_decode(beta_core(beta1, t)) == beta_decode(
+                    beta_core(beta2, t)
+                )
+
+
+def _shift(counts):
+    # (a_0, ..., a_{t-1}) -> (a_1, ..., a_{t-1}, a_0 - 1): one padding bead less
+    return (*counts[1:], counts[0] - 1)
 
 
 def test_canonicalize_examples():
-    ab = Abacus(3, frozenset({(1, 0)}))  # counts (1, 0, 0)
-    canon = canonicalize_core_abacus(ab)
-    assert canon.column_counts == (0, 0, 0)
-    assert canon.partition() == partition_from_abacus(ab) == ()
+    assert _shift((1, 0, 0)) == (0, 0, 0)
+    assert core_from_counts((1, 0, 0)) == core_from_counts((0, 0, 0)) == ()
+    assert _shift((3, 0, 1)) == (0, 1, 2)
+    assert core_from_counts((3, 0, 1)) == core_from_counts((0, 1, 2)) == (3, 1, 1)
 
-    ab = Abacus(3, frozenset({(1, 1), (1, 2), (2, 2)}))  # already canonical
-    assert canonicalize_core_abacus(ab).column_counts == (0, 1, 2)
-
-    core_ab = compact_columns(abacus_from_partition(t_core(Partition((5, 3, 2, 1)), 3), 3))
-    canon = canonicalize_core_abacus(core_ab)
-    assert canon.column_counts[0] == 0
-    assert canon.partition() == (2,)
-
-
-def test_canonicalize_rejects_gaps():
-    with pytest.raises(ValueError):
-        canonicalize_core_abacus(Abacus(3, frozenset({(2, 0)})))
+    counts = tuple(map(len, runners(t_core(Partition((5, 3, 2, 1)), 3), 3)))
+    while counts[0]:
+        counts = _shift(counts)
+    assert counts == (0, 0, 1)
+    assert core_from_counts(counts) == (2,)
 
 
 def test_canonicalize_preserves_partition():
+    # each shift keeps the core, down to the unique tuple with a_0 = 0
     for n in range(13):
         for t in (2, 3, 4, 5):
-            from tcores.cores import enumerate_t_cores
-
             for core in enumerate_t_cores(n, t):
-                ab = compact_columns(abacus_from_partition(core, t))
-                canon = canonicalize_core_abacus(ab)
-                assert canon.column_counts[0] == 0
-                assert canon.partition() == core
+                counts = tuple(map(len, runners(core, t)))
+                while counts[0]:
+                    counts = _shift(counts)
+                    assert core_from_counts(counts) == core
 
 
 @given(
@@ -284,21 +277,15 @@ def test_round_trip_property(lam, t):
 
 
 def test_runner_decoding_matches_bead_view():
-    # Oracle: the beads built here from structure numbers, compacted and read
-    # runner by runner through the frozenset view.
     for n in range(15):
         for lam in enumerate_partitions(n):
             for t in range(2, 8):
-                s = default_bead_count(len(lam), t)
-                beads = frozenset(
-                    (b // t + 1, b % t) for b in structure_numbers(lam, pad_to=s)
-                )
-                ab = Abacus(t, beads)
-                core = partition_from_abacus(compact_columns(ab))
+                beta = beta_set(lam, default_bead_count(len(lam), t))
+                core = beta_decode(beta_core(beta, t))
                 cq = decompose(lam, t)
                 assert cq.core == core
                 assert t_core(lam, t) == core
-                assert cq.quotient == quotient_components(ab)
+                assert cq.quotient == beta_quotient(beta, t)
 
 
 def test_runners_and_core_from_counts_examples():
@@ -307,8 +294,7 @@ def test_runners_and_core_from_counts_examples():
     assert runners(Partition(), 2) == ((), ())
     with pytest.raises(ValueError):
         runners(Partition((1,)), 1)
-    ab = Abacus(3, frozenset({(1, 1), (1, 2), (2, 2)}))
-    assert core_from_counts((0, 1, 2)) == partition_from_abacus(ab) == (3, 1, 1)
+    assert core_from_counts((0, 1, 2)) == (3, 1, 1)
     assert core_from_counts(()) == ()
     with pytest.raises(ValueError):
         core_from_counts((0, -1))

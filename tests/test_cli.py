@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tcores import abacus, cli, cores, distribution, nekrasov
+from tcores import abacus, cli, cores, distribution, nekrasov, partitions
 
 
 def run(capsys, *argv):
@@ -39,6 +39,32 @@ def test_hooks_json(capsys):
     assert payload["partition"] == [5, 3, 2, 1]
     assert payload["t_hook_counts"] == {"3": 3}
     assert payload["hook_rows"][0] == [8, 6, 4, 2, 1]
+
+
+def test_hooks_cell_budget(capsys, monkeypatch):
+    calls = []
+    real = partitions.hook_rows
+
+    def counting(lam):
+        calls.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(cli, "hook_rows", counting)
+    monkeypatch.setattr(partitions, "hook_rows", counting)
+    # one part past the real budget is refused before any grid is built
+    assert cli.main(["hooks", str(partitions.HOOK_CELL_BUDGET + 1)]) == 2
+    assert calls == [] and capsys.readouterr().out == ""
+    monkeypatch.setattr(partitions, "HOOK_CELL_BUDGET", 6)
+    code, out = run(capsys, "hooks", "3,2,1", "--t", "2")
+    assert code == 0 and out.splitlines()[0] == "5 3 1"
+    assert calls
+    calls.clear()
+    monkeypatch.setattr(partitions, "HOOK_CELL_BUDGET", 5)
+    assert cli.main(["hooks", "3,2,1", "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+    assert calls == []
 
 
 def test_bad_partition_is_usage_error(capsys):

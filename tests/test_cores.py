@@ -19,7 +19,7 @@ from tcores.cores import (
     padic_valuation,
     verify_core_formulas,
 )
-from tcores.partitions import count_t_hooks
+from tcores.partitions import count_t_hooks, enumerate_partitions
 
 
 def test_is_prime_small():
@@ -158,13 +158,14 @@ def test_enumerate_modes_agree():
     for t, n_max in ((2, 30), (3, 30), (4, 20), (5, 20), (20, 12), (14, 14)):
         for n in range(n_max + 1):
             fast = enumerate_t_cores(n, t)
-            oracle = enumerate_t_cores(n, t, mode="oracle")
+            # brute force: every partition of n with no t-hook, in the same order
+            oracle = [
+                lam for lam in enumerate_partitions(n) if count_t_hooks(lam, t) == 0
+            ]
             assert fast == oracle
             for core in fast:
                 assert core.size == n
                 assert count_t_hooks(core, t) == 0
-    with pytest.raises(ValueError):
-        enumerate_t_cores(3, 2, mode="nonsense")
 
 
 def test_count_t_cores_up_to_matches_series():

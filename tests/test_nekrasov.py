@@ -117,16 +117,6 @@ def test_identity_small():
     assert report.ok and report.m_max == 8
 
 
-def test_guard_refusal():
-    with pytest.raises(ValueError):
-        partition_side(13)
-    with pytest.raises(ValueError):
-        product_side(20)
-    with pytest.raises(ValueError):
-        specialize(14, 2)
-    assert partition_side(13, guard=13).degree == 13
-
-
 def test_specialize_euler_and_jacobi():
     assert specialize(1, 2)[1] == -1
     euler = sparse_product([(1, 1)], 10)
@@ -141,8 +131,8 @@ def test_specialize_at_zero_gives_partition_counts():
 
 def test_sides_match_fraction_oracle():
     for m in range(15):
-        assert partition_side(m, guard=14) == oracle_partition_side(m)
-        assert product_side(m, guard=14) == oracle_product_side(m)
+        assert partition_side(m) == oracle_partition_side(m)
+        assert product_side(m) == oracle_product_side(m)
 
 
 def test_check_identity_matches_oracle():
@@ -191,9 +181,13 @@ def test_injected_coefficient_gives_oracle_mismatch(monkeypatch, bad, expected):
     assert not report.ok
 
 
+def _factors_to(m_max):
+    # p(m) * m hook factors for every m <= m_max
+    return sum(m for m in range(m_max + 1) for _ in enumerate_partitions(m))
+
+
 def test_identity_budget_boundary(monkeypatch):
-    # p(m) * m hook factors for every m <= 9
-    factors = sum(m for m in range(10) for _ in enumerate_partitions(m))
+    factors = _factors_to(9)
     monkeypatch.setattr(nekrasov, "NO_IDENTITY_BUDGET", factors)
     assert check_identity(9).ok
     monkeypatch.setattr(nekrasov, "NO_IDENTITY_BUDGET", factors - 1)
@@ -201,4 +195,28 @@ def test_identity_budget_boundary(monkeypatch):
     monkeypatch.setattr(nekrasov, "_scaled_product_sides", calls.append)
     with pytest.raises(ValueError, match="budget"):
         check_identity(9)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "view, expected",
+    [
+        (partition_side, oracle_partition_side(9)),
+        (product_side, oracle_product_side(9)),
+        (lambda m: specialize(m, 2), sparse_product([(1, 1)], 9)),
+    ],
+    ids=["partition_side", "product_side", "specialize"],
+)
+def test_view_budget_boundary(monkeypatch, view, expected):
+    factors = _factors_to(9)
+    monkeypatch.setattr(nekrasov, "NO_IDENTITY_BUDGET", factors)
+    assert view(9) == expected
+    monkeypatch.setattr(nekrasov, "NO_IDENTITY_BUDGET", factors - 1)
+    calls = []
+    monkeypatch.setattr(nekrasov, "_scaled_product_sides", calls.append)
+    monkeypatch.setattr(nekrasov, "_scaled_partition_side", calls.append)
+    with pytest.raises(ValueError, match="budget"):
+        view(9)
+    with pytest.raises(ValueError, match="q-degree must be non-negative"):
+        view(-1)
     assert calls == []
