@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import cores, distribution, nekrasov, partitions
 from .abacus import decompose, t_core
-from .partitions import Partition, count_t_hooks, hook_multiset, hook_rows
+from .partitions import Partition, hook_rows
 
 DEFAULT_TABLE_ROWS = (300, 600, 900, 4500, 4800, 5100)
 
@@ -51,28 +51,30 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_hooks(args) -> int:
     lam = args.partition
+    ts = args.t or []
     if lam.size > partitions.HOOK_CELL_BUDGET:
         raise UsageError(
             f"the hook grid has {lam.size} cells, over the budget of "
             f"{partitions.HOOK_CELL_BUDGET}"
         )
+    for t in ts:
+        if t < 2:
+            raise UsageError(f"t must be at least 2, got {t}")
     rows = hook_rows(lam)
-    ts = args.t or []
+    lengths = sorted(h for row in rows for h in row)
+    t_hooks = [(t, sum(1 for h in lengths if h % t == 0)) for t in ts]
     if args.format == "json":
         payload = {
             "partition": list(lam),
             "hook_rows": rows,
-            "hook_lengths": sorted(hook_multiset(lam).elements()),
-            "t_hook_counts": {str(t): count_t_hooks(lam, t) for t in ts},
+            "hook_lengths": lengths,
+            "t_hook_counts": {str(t): k for t, k in t_hooks},
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     lines = [" ".join(map(str, row)) for row in rows]
-    lines.append(
-        "hook lengths: " + " ".join(map(str, sorted(hook_multiset(lam).elements())))
-    )
-    for t in ts:
-        lines.append(f"h_{t} = {count_t_hooks(lam, t)}")
+    lines.append("hook lengths: " + " ".join(map(str, lengths)))
+    lines += [f"h_{t} = {k}" for t, k in t_hooks]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -137,31 +139,34 @@ def cmd_table(args) -> int:
     if args.a is not None and not 0 <= args.a < args.b:
         raise UsageError(f"--a must lie in 0..{args.b - 1}")
     residues = range(args.b) if args.a is None else (args.a,)
-    # get_engine rebuilds whenever a larger n is asked for, so size it once.
-    distribution.get_engine(args.t, max(rows))
-    profiles = [distribution.residue_profile(args.t, args.b, n) for n in rows]
+    engine = distribution.HookDistribution(args.t, max(rows))
+    profiles = [
+        distribution.ResidueProfile(
+            args.t, args.b, n, tuple(engine.residue_counts(args.b, n))
+        )
+        for n in rows
+    ]
+    formatted = [(prof, prof.formatted_proportions()) for prof in profiles]
     if args.format == "json":
         payload = [
             {
                 "n": prof.n,
                 "total": str(prof.total),
                 "counts": [str(prof.counts[a]) for a in residues],
-                "proportions": [prof.formatted_proportions()[a] for a in residues],
+                "proportions": [props[a] for a in residues],
             }
-            for prof in profiles
+            for prof, props in formatted
         ]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     if args.format == "text":
         lines = [f"t={args.t} b={args.b}"]
-        for prof in profiles:
-            props = prof.formatted_proportions()
+        for prof, props in formatted:
             lines.append(f"n={prof.n}: " + " ".join(props[a] for a in residues))
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     lines = ["n,a,count,proportion"]
-    for prof in profiles:
-        props = prof.formatted_proportions()
+    for prof, props in formatted:
         for a in residues:
             lines.append(f"{prof.n},{a},{prof.counts[a]},{props[a]}")
     _emit("\n".join(lines) + "\n", args.out)

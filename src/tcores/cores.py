@@ -99,28 +99,6 @@ def c3_divisor_sum(n: int) -> int:
     return sum(1 if d % 3 == 1 else -1 for d in _divisors(3 * n + 1))
 
 
-def c3_nonvanishing(n: int) -> bool:
-    """True iff n has a 3-core: every prime p = 2 mod 3 divides 3n+1 evenly.
-
-    Agrees with c3_divisor_sum(n) > 0.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    m = 3 * n + 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if d % 3 == 2 and e % 2 == 1:
-                return False
-        d += 1
-    # leftover m is prime (or 1)
-    return not (m % 3 == 2 and m > 1)
-
-
 @dataclass(frozen=True)
 class QFSolution:
     """One representation n = a^2 - a*b + b^2 + b with a, b >= 0.
@@ -145,12 +123,11 @@ class QFSolution:
         return self.a + self.b + 1
 
 
-def c3_qf_solutions(n: int, bound: int | None = None) -> list[QFSolution]:
+def c3_qf_solutions(n: int) -> list[QFSolution]:
     """All (a, b) in Z>=0 x Z>=0 with a^2 - a*b + b^2 + b = n.
 
-    The form dominates (a^2 + b^2)/2, so the default search box
-    0 <= a, b <= 1 + ceil(2*sqrt(n+1)) is complete with room to spare;
-    tests re-run with an enlarged box and check the count is stable.
+    The form dominates (a^2 + b^2)/2, so the search box
+    0 <= a, b <= 1 + ceil(2*sqrt(n+1)) is complete with room to spare.
     Solutions come ordered by b, then ascending a.
 
     For fixed b, a solves a^2 - b*a + (b^2 + b - n) = 0, whose discriminant
@@ -159,8 +136,7 @@ def c3_qf_solutions(n: int, bound: int | None = None) -> list[QFSolution]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if bound is None:
-        bound = 1 + isqrt(4 * (n + 1)) + 1
+    bound = 1 + isqrt(4 * (n + 1)) + 1
     solutions = []
     for b in range(bound + 1):
         disc = 4 * n - 3 * b * b - 4 * b
@@ -175,9 +151,9 @@ def c3_qf_solutions(n: int, bound: int | None = None) -> list[QFSolution]:
     return solutions
 
 
-def c3_qf_count(n: int, bound: int | None = None) -> int:
+def c3_qf_count(n: int) -> int:
     """Number of representations n = a^2 - a*b + b^2 + b over Z>=0 x Z>=0."""
-    return len(c3_qf_solutions(n, bound))
+    return len(c3_qf_solutions(n))
 
 
 # Most coefficient updates one ct_count_series call may make. An update took

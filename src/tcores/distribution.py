@@ -9,8 +9,8 @@ paired with a t-tuple of partitions of total size k, so
                    c_t(n - t*k) * Q_t(k),
 
 with Q_t(k) the number of t-tuples of total size k. Everything is exact
-big-integer arithmetic; proportions are exact rationals rendered to a fixed
-number of decimal places (round half to even).
+big-integer arithmetic; proportions are exact rationals rendered to
+PROPORTION_PLACES decimal places (round half to even).
 
 The vanishing verifiers need no products: every c_t(m) is >= 0 and every
 Q_t(k) > 0 (the tuple of (k) and t - 1 empty partitions has size k), so
@@ -22,8 +22,6 @@ vanishing. A sweep therefore reads only the c_t array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from . import cores
 from .partitions import count_t_hooks, enumerate_partitions
@@ -42,13 +40,14 @@ __all__ = [
     "verify_3hook_vanishing",
     "sweep_2hook_vanishing",
     "sweep_3hook_vanishing",
-    "get_engine",
     "VERIFIED",
     "HYPOTHESIS_NOT_MET",
     "COUNTEREXAMPLE",
 ]
 
 BRUTE_FORCE_GUARD = 40
+
+PROPORTION_PLACES = 4
 
 VERIFIED = "verified"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
@@ -111,32 +110,24 @@ class HookDistribution:
         return counts
 
 
-_engines: dict[int, HookDistribution] = {}
-
-
-def get_engine(t: int, n_max: int) -> HookDistribution:
-    """Shared per-t engine, regrown whenever a larger range is requested."""
-    eng = _engines.get(t)
-    if eng is None or eng.n_max < n_max:
-        eng = HookDistribution(t, n_max)
-        _engines[t] = eng
-    return eng
-
-
 def pt_count(t: int, a: int, b: int, n: int) -> int:
-    """Number of partitions of n whose t-hook count is a mod b."""
-    return get_engine(t, n).count(a, b, n)
+    """Number of partitions of n whose t-hook count is a mod b.
+
+    Builds the series for this n on each call; for many n, build one
+    HookDistribution(t, n_max) yourself and call its count.
+    """
+    return HookDistribution(t, n).count(a, b, n)
 
 
-def format_proportion(count: int, total: int, places: int = 4) -> str:
-    """count/total as a decimal string, round half to even, exact arithmetic."""
+def format_proportion(count: int, total: int) -> str:
+    """count/total to PROPORTION_PLACES decimals, round half to even, exactly."""
     if total <= 0:
         raise ValueError(f"total must be positive, got {total}")
-    scale = 10**places
+    scale = 10**PROPORTION_PLACES
     q, r = divmod(count * scale, total)
     if 2 * r > total or (2 * r == total and q % 2 == 1):
         q += 1
-    return f"{q // scale}.{q % scale:0{places}d}"
+    return f"{q // scale}.{q % scale:0{PROPORTION_PLACES}d}"
 
 
 @dataclass(frozen=True)
@@ -153,45 +144,33 @@ class ResidueProfile:
         """p(n): every partition lands in exactly one residue class."""
         return sum(self.counts)
 
-    def proportions(self) -> tuple[Fraction, ...]:
+    def formatted_proportions(self) -> tuple[str, ...]:
         total = self.total
-        return tuple(Fraction(c, total) for c in self.counts)
-
-    def formatted_proportions(self, places: int = 4) -> tuple[str, ...]:
-        total = self.total
-        return tuple(format_proportion(c, total, places) for c in self.counts)
+        return tuple(format_proportion(c, total) for c in self.counts)
 
 
 def residue_profile(t: int, b: int, n: int) -> ResidueProfile:
-    """All b counts p_t(0, b; n), ..., p_t(b-1, b; n)."""
-    counts = get_engine(t, n).residue_counts(b, n)
+    """All b counts p_t(0, b; n), ..., p_t(b-1, b; n).
+
+    Builds the series for this n on each call; for many n, build one
+    HookDistribution(t, n_max) yourself and call its residue_counts.
+    """
+    counts = HookDistribution(t, n).residue_counts(b, n)
     return ResidueProfile(t=t, b=b, n=n, counts=tuple(counts))
 
 
-@lru_cache(maxsize=64)
-def _hook_counts_of_all(t: int, n: int) -> tuple[int, ...]:
-    # t-hook count of every partition of n, enumeration order; memoized
-    # because the brute-force oracle is called once per modulus.
-    return tuple(count_t_hooks(lam, t) for lam in enumerate_partitions(n))
-
-
-def brute_force_profile(
-    t: int, b: int, n: int, force: bool = False
-) -> ResidueProfile:
+def brute_force_profile(t: int, b: int, n: int) -> ResidueProfile:
     """Oracle twin of residue_profile: enumerate partitions and bucket them.
 
-    Refuses n > 40 unless force=True, since the enumeration is exponential.
+    Refuses n > BRUTE_FORCE_GUARD, since the enumeration is exponential.
     """
     if b < 1:
         raise ValueError(f"modulus b must be at least 1, got {b}")
-    if n > BRUTE_FORCE_GUARD and not force:
-        raise ValueError(
-            f"n={n} exceeds the brute-force guard {BRUTE_FORCE_GUARD}; "
-            "pass force=True to override"
-        )
+    if n > BRUTE_FORCE_GUARD:
+        raise ValueError(f"n={n} exceeds the brute-force guard {BRUTE_FORCE_GUARD}")
     counts = [0] * b
-    for h in _hook_counts_of_all(t, n):
-        counts[h % b] += 1
+    for lam in enumerate_partitions(n):
+        counts[count_t_hooks(lam, t) % b] += 1
     return ResidueProfile(t=t, b=b, n=n, counts=tuple(counts))
 
 
@@ -330,8 +309,3 @@ def sweep_3hook_vanishing(ell: int, n_max: int) -> SweepReport:
         raise ValueError(f"ell must be a prime congruent to 2 mod 3, got {ell}")
     return _sweep("3-hook", ell, 3, ell * ell, n_max, (-9, 3),
                   lambda v: cores.padic_valuation(ell, v) == 1)
-
-
-def partition_count(n: int) -> int:
-    """p(n) from the generating function (independent of any enumeration)."""
-    return eta_inverse_power_series(1, n)[n]

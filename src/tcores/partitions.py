@@ -35,10 +35,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"Partition({', '.join(map(str, self))})"
 

@@ -65,6 +65,24 @@ def test_hooks_cell_budget(capsys, monkeypatch):
     assert captured.out == ""
     assert "budget" in captured.err
     assert calls == []
+    # one grid serves the hook lengths and every h_t, in either format
+    monkeypatch.setattr(partitions, "HOOK_CELL_BUDGET", 6)
+    code, out = run(capsys, "hooks", "3,2,1", "--t", "2", "--t", "3")
+    assert code == 0 and out.splitlines()[-3:] == [
+        "hook lengths: 1 1 1 3 3 5", "h_2 = 0", "h_3 = 2"]
+    assert len(calls) == 1
+    calls.clear()
+    code, out = run(capsys, "hooks", "3,2,1", "--t", "2", "--t", "3",
+                    "--format", "json")
+    assert code == 0 and json.loads(out)["t_hook_counts"] == {"2": 0, "3": 2}
+    assert len(calls) == 1
+    calls.clear()
+    # a t below 2 is refused before any grid is built
+    assert cli.main(["hooks", "3,2,1", "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 2" in captured.err
+    assert calls == []
 
 
 def test_bad_partition_is_usage_error(capsys):
@@ -134,12 +152,27 @@ def test_table_builds_engine_once(capsys, monkeypatch):
             builds.append((t, n_max))
             super().__init__(t, n_max)
 
-    monkeypatch.setattr(distribution, "_engines", {})
     monkeypatch.setattr(distribution, "HookDistribution", Counting)
     code, out = run(capsys, "table")
     assert code == 0
     assert len(out.splitlines()) == 1 + 3 * len(cli.DEFAULT_TABLE_ROWS)
     assert builds == [(2, max(cli.DEFAULT_TABLE_ROWS))]
+
+
+def test_table_json_formats_each_row_once(capsys, monkeypatch):
+    argv = ("table", "--t", "3", "--b", "9", "--n", "30,60", "--format", "json")
+    _, expected = run(capsys, *argv)
+    calls = []
+    real = distribution.format_proportion
+
+    def counting(count, total):
+        calls.append((count, total))
+        return real(count, total)
+
+    monkeypatch.setattr(distribution, "format_proportion", counting)
+    code, out = run(capsys, *argv)
+    assert code == 0 and out == expected
+    assert len(calls) == 2 * 9
 
 
 def test_table_csv(capsys):
@@ -298,7 +331,6 @@ def test_verify_builds_no_engine(capsys, monkeypatch):
             builds.append((t, n_max))
             super().__init__(t, n_max)
 
-    monkeypatch.setattr(distribution, "_engines", {})
     monkeypatch.setattr(distribution, "HookDistribution", Counting)
     for argv in (
         ["verify", "part1", "--ell", "5", "--nmax", "300"],

@@ -143,11 +143,24 @@ def test_profile_matches_brute_force():
                 assert fast.counts == slow.counts
 
 
-def test_brute_force_guard():
-    with pytest.raises(ValueError):
-        brute_force_profile(2, 3, 41)
-    prof = brute_force_profile(2, 2, 41, force=True)
-    assert prof.counts == residue_profile(2, 2, 41).counts
+def test_brute_force_guard(monkeypatch):
+    with pytest.raises(ValueError, match="guard"):
+        brute_force_profile(2, 3, distribution.BRUTE_FORCE_GUARD + 1)
+    monkeypatch.setattr(distribution, "BRUTE_FORCE_GUARD", 6)
+    assert brute_force_profile(2, 2, 6).counts == residue_profile(2, 2, 6).counts
+    with pytest.raises(ValueError, match="guard"):
+        brute_force_profile(2, 2, 7)
+
+
+def test_larger_engine_keeps_lower_counts():
+    # a single HookDistribution(t, n_max) serves every n <= n_max: a longer
+    # truncation never changes the lower coefficients
+    for t in range(2, 6):
+        engine = HookDistribution(t, 300)
+        for b in (2, 3, 7):
+            for n in (0, 1, 29, 150, 300):
+                profile = residue_profile(t, b, n)
+                assert engine.residue_counts(b, n) == list(profile.counts)
 
 
 def test_brute_force_smallest_3hook_vanishing_case():
@@ -263,8 +276,3 @@ def test_sweeps_are_deterministic_and_verified():
     assert rep.counterexamples == ()
     with pytest.raises(ValueError):
         sweep_3hook_vanishing(3, 100)
-
-
-def test_partition_count_function():
-    assert distribution.partition_count(10) == 42
-    assert distribution.partition_count(0) == 1
