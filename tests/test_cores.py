@@ -89,6 +89,22 @@ def test_qf_solutions_norm_form_identity():
             assert s.x * s.x - s.x * s.y + s.y * s.y == 3 * n + 1
 
 
+def test_c3_qf_count_box_is_stable():
+    # enlarging the box of a direct count must never find new solutions
+    def scan_count(n, bound):
+        return sum(
+            1
+            for b in range(bound + 1)
+            for a in range(bound + 1)
+            if a * a - a * b + b * b + b == n
+        )
+
+    for n in range(151):
+        default = c3_qf_count(n)
+        for bound in (isqrt(4 * (n + 1)) + 9, 2 * isqrt(4 * (n + 1)) + 9):
+            assert default == scan_count(n, bound), (n, bound)
+
+
 def test_c3_qf_solutions_match_box_scan():
     # a scan over every (a, b) in a box larger than the search box, ordered
     # by b then ascending a: the search box misses no solution
