@@ -10,11 +10,11 @@ counts, as in Garvan, Kim and Stanton, "Cranks and t-cores", 1990), and
 each runner's rows, read as one-runner structure numbers, decode to one
 t-quotient component.
 
-Bead-count convention: unless a caller supplies one, abaci are padded with
-zero parts so the bead count s is the least multiple of t with s >= #parts.
-Fixing s mod t pins down the labelling of the quotient components (changing
-s by one cyclically permutes the runners); any two paddings that agree mod t
-produce the same labelled quotient.
+Bead-count convention: abaci are padded with zero parts so the bead count s
+is the least multiple of t with s >= #parts. Fixing s mod t pins down the
+labelling of the quotient components (changing s by one cyclically permutes
+the runners); any two paddings that agree mod t produce the same labelled
+quotient.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ class CoreQuotient:
     @property
     def quotient_size(self) -> int:
         return sum(comp.size for comp in self.quotient)
-
-    @property
-    def size(self) -> int:
-        """Size of the partition this pair composes to."""
-        return self.core.size + self.t * self.quotient_size
 
 
 def default_bead_count(num_parts: int, t: int) -> int:
@@ -68,21 +63,18 @@ def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, .
 MAX_RUNNERS = 100_000
 
 
-def runners(
-    lam: Partition, t: int, bead_count: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def runners(lam: Partition, t: int) -> tuple[tuple[int, ...], ...]:
     """Runner c lists B // t for each structure number B = c mod t of lam.
 
-    Rows are descending; the bead count follows the padding rule by default.
+    Rows are descending; the bead count follows the padding rule.
     Raises ValueError for t above MAX_RUNNERS.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     if t > MAX_RUNNERS:
         raise ValueError(f"t={t} is over the limit of {MAX_RUNNERS} runners")
-    s = default_bead_count(len(lam), t) if bead_count is None else bead_count
     rows: list[list[int]] = [[] for _ in range(t)]
-    for b in structure_numbers(lam, pad_to=s):
+    for b in structure_numbers(lam, pad_to=default_bead_count(len(lam), t)):
         rows[b % t].append(b // t)
     return tuple(map(tuple, rows))
 

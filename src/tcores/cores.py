@@ -21,8 +21,21 @@ from .partitions import Partition
 from .series import sparse_product
 
 
+# Largest n for trial division (up to sqrt(n) steps) in is_prime(n) and on 3n+1
+# in c3_divisor_sum: at 10^12 these took 0.08 s and 0.16 s on a 2.1 GHz Xeon.
+TRIAL_DIVISION_LIMIT = 10**12
+
+
+def _check_trial_division(n: int) -> None:
+    if n > TRIAL_DIVISION_LIMIT:
+        raise ValueError(
+            f"trial division of {n} is over the limit of {TRIAL_DIVISION_LIMIT}"
+        )
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; plenty for desk-scale moduli."""
+    """Trial-division primality test; raises ValueError above TRIAL_DIVISION_LIMIT."""
+    _check_trial_division(n)
     if n < 2:
         return False
     if n < 4:
@@ -93,39 +106,19 @@ def c3_divisor_sum(n: int) -> int:
 
     Since 3 never divides a divisor of 3n+1, (d/3) is +1 for d = 1 mod 3 and
     -1 for d = 2 mod 3; a residue lookup replaces Euler's criterion here.
+    Raises ValueError when 3n+1 is above TRIAL_DIVISION_LIMIT.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    _check_trial_division(3 * n + 1)
     return sum(1 if d % 3 == 1 else -1 for d in _divisors(3 * n + 1))
 
 
-@dataclass(frozen=True)
-class QFSolution:
-    """One representation n = a^2 - a*b + b^2 + b with a, b >= 0.
-
-    The change of variables x = -a + 2b + 1, y = a + b + 1 turns it into
-    3n + 1 = x^2 - x*y + y^2, the norm form of discriminant -3.
-    """
-
-    a: int
-    b: int
-
-    @property
-    def n(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b + self.b
-
-    @property
-    def x(self) -> int:
-        return -self.a + 2 * self.b + 1
-
-    @property
-    def y(self) -> int:
-        return self.a + self.b + 1
-
-
-def c3_qf_solutions(n: int) -> list[QFSolution]:
+def c3_qf_solutions(n: int) -> list[tuple[int, int]]:
     """All (a, b) in Z>=0 x Z>=0 with a^2 - a*b + b^2 + b = n.
 
+    The change of variables x = -a + 2b + 1, y = a + b + 1 turns each into
+    3n + 1 = x^2 - x*y + y^2, the norm form of discriminant -3.
     The form dominates (a^2 + b^2)/2, so the search box
     0 <= a, b <= 1 + ceil(2*sqrt(n+1)) is complete with room to spare.
     Solutions come ordered by b, then ascending a.
@@ -147,7 +140,7 @@ def c3_qf_solutions(n: int) -> list[QFSolution]:
             continue
         for a in sorted({(b - root) // 2, (b + root) // 2}):
             if 0 <= a <= bound:
-                solutions.append(QFSolution(a=a, b=b))
+                solutions.append((a, b))
     return solutions
 
 

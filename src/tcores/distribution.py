@@ -194,15 +194,11 @@ class Verdict:
 SWEEP_CELL_BUDGET = 1_000_000
 
 
-def _check_cell(t, b, a1, a2, n_max, core_counts=None) -> Verdict:
+def _check_cell(t, b, a1, a2, n_max, core_counts) -> Verdict:
     # The first n = a2 mod b with some c_t(n - t*k) > 0, k = a1 mod b, is the
     # counterexample; checked counts the n before it. Only the smallest term,
     # k = a = a1 mod b, needs testing: c_t(n - t*k) > 0 is also the smallest
     # term of n - t*(k - a), an earlier n of the same class mod b.
-    if core_counts is None:
-        core_counts = _core_count_array(t, n_max)
-    elif len(core_counts) <= n_max:
-        raise ValueError(f"core_counts ends before n_max={n_max}")
     offset = t * (a1 % b)
     checked = 0
     for n in range(a2 % b, n_max + 1, b):
@@ -212,38 +208,32 @@ def _check_cell(t, b, a1, a2, n_max, core_counts=None) -> Verdict:
     return Verdict(VERIFIED, checked=checked)
 
 
-def verify_2hook_vanishing(
-    ell: int, a1: int, a2: int, n_max: int, core_counts: list[int] | None = None
-) -> Verdict:
+def verify_2hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
     """Check p_2(a1, ell; n) = 0 for every n <= n_max with n = a2 mod ell.
 
     Applies only when the symbol (-16*a1 + 8*a2 + 1 / ell) is -1; otherwise
-    the verdict is hypothesis-not-met and nothing is asserted. core_counts,
-    c_2(0..n_max) or longer, is built when not given.
+    the verdict is hypothesis-not-met and nothing is asserted.
     """
     if ell < 3 or not cores.is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
     v = -16 * a1 + 8 * a2 + 1
     if cores.legendre_symbol(v, ell) != -1:
         return Verdict(HYPOTHESIS_NOT_MET, note=f"({v}/{ell}) != -1")
-    return _check_cell(2, ell, a1, a2, n_max, core_counts)
+    return _check_cell(2, ell, a1, a2, n_max, _core_count_array(2, n_max))
 
 
-def verify_3hook_vanishing(
-    ell: int, a1: int, a2: int, n_max: int, core_counts: list[int] | None = None
-) -> Verdict:
+def verify_3hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
     """Check p_3(a1, ell^2; n) = 0 for every n <= n_max with n = a2 mod ell^2.
 
     Applies when ell is a prime congruent to 2 mod 3 and -9*a1 + 3*a2 + 1 is
-    nonzero with ell-adic valuation exactly 1. core_counts, c_3(0..n_max) or
-    longer, is built when not given.
+    nonzero with ell-adic valuation exactly 1.
     """
     if ell % 3 != 2 or not cores.is_prime(ell):
         raise ValueError(f"ell must be a prime congruent to 2 mod 3, got {ell}")
     v = -9 * a1 + 3 * a2 + 1  # = 1 mod 3, so never 0
     if cores.padic_valuation(ell, v) != 1:
         return Verdict(HYPOTHESIS_NOT_MET, note=f"ord_{ell}({v}) != 1")
-    return _check_cell(3, ell * ell, a1, a2, n_max, core_counts)
+    return _check_cell(3, ell * ell, a1, a2, n_max, _core_count_array(3, n_max))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ and the hook side S_m, with H_lam the product of lam's hook lengths, is
 
 The check compares m! g_m with m!^2 S_m, both m!^2 times the true sides;
 scaling by a positive constant keeps the first differing z-degree. Only the
-public views build ZPoly and Fraction values. Setting z = 2 or z = 4
+public views build Fraction values. Setting z = 2 or z = 4
 specializes the right side to the Euler and Jacobi series prod (1-q^n) and
 prod (1-q^n)^3, which tests compare against independent integer series.
 """
@@ -27,78 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Iterable
 
 from .partitions import enumerate_partitions, hook_rows
 from .series import eta_inverse_power_series
 
 DEFAULT_MMAX = 12
-
-
-class ZPoly:
-    """Polynomial in one variable over the exact rationals."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ZPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ZPoly(out)
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + ZPoly([-c for c in other.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, ZPoly):
-            if not self.coeffs or not other.coeffs:
-                return ZPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return ZPoly(out)
-        return ZPoly([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __call__(self, z: Fraction | int) -> Fraction:
-        z = Fraction(z)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "ZPoly(0)"
-        terms = " + ".join(f"({c})z^{k}" for k, c in enumerate(self.coeffs) if c)
-        return f"ZPoly({terms})"
 
 
 # Most hook factors (h^2 - z), p(m) * m summed over m <= m_max, that one
@@ -151,20 +84,20 @@ def _scaled_product_sides(m_max: int) -> list[list[int]]:
     return g
 
 
-def partition_side(m: int) -> ZPoly:
+def partition_side(m: int) -> tuple[Fraction, ...]:
     """Coefficient of q^m on the hook-product side, as a polynomial in z.
 
-    Sum over partitions of m of prod over hook lengths h of (1 - z/h^2).
-    Its constant term is p(m) and its z-degree is m.
+    Sum over partitions of m of prod over hook lengths h of (1 - z/h^2),
+    lowest z-degree first. Its constant term is p(m) and its z-degree is m.
     """
     _check_budget(m)
-    return ZPoly(Fraction(c, factorial(m) ** 2) for c in _scaled_partition_side(m))
+    return tuple(Fraction(c, factorial(m) ** 2) for c in _scaled_partition_side(m))
 
 
-def product_side(m: int) -> ZPoly:
-    """Coefficient of q^m in prod_{n=1}^{m} (1 - q^n)^(z-1)."""
+def product_side(m: int) -> tuple[Fraction, ...]:
+    """Coefficient of q^m in prod_{n=1}^{m} (1 - q^n)^(z-1), lowest z-degree first."""
     _check_budget(m)
-    return ZPoly(Fraction(c, factorial(m)) for c in _scaled_product_sides(m)[m])
+    return tuple(Fraction(c, factorial(m)) for c in _scaled_product_sides(m)[m])
 
 
 @dataclass(frozen=True)
@@ -202,4 +135,11 @@ def specialize(m_max: int, z: Fraction | int) -> tuple[Fraction, ...]:
     prod (1-q^n)^3.
     """
     _check_budget(m_max)
-    return tuple(partition_side(m)(z) for m in range(m_max + 1))
+    z = Fraction(z)
+    values = []
+    for m in range(m_max + 1):
+        acc = Fraction(0)
+        for c in reversed(_scaled_partition_side(m)):  # Horner's rule
+            acc = acc * z + c
+        values.append(acc / factorial(m) ** 2)
+    return tuple(values)

@@ -86,10 +86,10 @@ def test_abacus_round_trip_any_padding():
         for lam in enumerate_partitions(n):
             for t in (2, 3, 4):
                 for s in range(len(lam), len(lam) + 2 * t + 1):
-                    beta = beta_set(lam, s)
-                    rows = runners(lam, t, bead_count=s)
-                    assert {t * r + c for c, rs in enumerate(rows) for r in rs} == beta
-                    assert beta_decode(beta) == lam
+                    assert beta_decode(beta_set(lam, s)) == lam
+                beta = beta_set(lam, default_bead_count(len(lam), t))
+                rows = runners(lam, t)
+                assert {t * r + c for c, rs in enumerate(rows) for r in rs} == beta
 
 
 def test_slide_bead_drops_size_by_t():
@@ -148,7 +148,7 @@ def test_decompose_examples():
     cq = decompose(Partition((5, 3, 2, 1)), 3)
     assert cq.core == (2,)
     assert cq.quotient_size == 3
-    assert cq.size == 11
+    assert cq.core.size + 3 * cq.quotient_size == 11
 
     core = Partition((3, 2, 1))  # a 2-core
     cq = decompose(core, 2)
@@ -289,8 +289,9 @@ def test_runner_decoding_matches_bead_view():
 
 
 def test_runners_and_core_from_counts_examples():
-    # structure numbers (8, 5, 3, 1) on 3 runners: 8, 5 on runner 2, 3 on 0, 1 on 1
-    assert runners(Partition((5, 3, 2, 1)), 3, bead_count=4) == ((1,), (0,), (2, 1))
+    # padded to 6 parts, structure numbers (10, 7, 5, 3, 1, 0) on 3 runners:
+    # 3, 0 on runner 0; 10, 7, 1 on runner 1; 5 on runner 2
+    assert runners(Partition((5, 3, 2, 1)), 3) == ((1, 0), (3, 2, 0), (1,))
     assert runners(Partition(), 2) == ((), ())
     with pytest.raises(ValueError):
         runners(Partition((1,)), 1)

@@ -323,6 +323,45 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     assert "budget" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cores-count --n 100000000000000000000 --t 3",
+        "verify part1 --ell 1000000000000000003 --nmax 10",
+        "verify part1 --ell 1000000000000000003 --a1 0 --a2 0 --nmax 10",
+    ],
+)
+def test_trial_division_limit_exits_2(capsys, argv):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over the limit" in captured.err
+
+
+def test_table_cell_budget(capsys, monkeypatch):
+    builds = []
+
+    class Counting(distribution.HookDistribution):
+        def __init__(self, t, n_max):
+            builds.append((t, n_max))
+            super().__init__(t, n_max)
+
+    monkeypatch.setattr(distribution, "HookDistribution", Counting)
+    assert 3 * len(cli.DEFAULT_TABLE_ROWS) <= cli.TABLE_CELL_BUDGET
+    assert cli.main(["table", "--b", "1000000000", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+    assert builds == []
+    monkeypatch.setattr(cli, "TABLE_CELL_BUDGET", 6)  # 3 residues x 2 rows
+    code, out = run(capsys, "table", "--b", "3", "--n", "9,12")
+    assert code == 0 and len(out.splitlines()) == 1 + 6
+    monkeypatch.setattr(cli, "TABLE_CELL_BUDGET", 5)
+    assert cli.main(["table", "--b", "3", "--n", "9,12"]) == 2
+    assert capsys.readouterr().out == ""
+    assert builds == [(2, 12)]
+
+
 def test_verify_builds_no_engine(capsys, monkeypatch):
     builds = []
 

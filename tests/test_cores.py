@@ -78,15 +78,16 @@ def test_c3_qf_count_examples():
     assert c3_qf_count(0) == 1
     assert c3_qf_count(1) == 1
     assert c3_qf_count(2) == 2
-    assert [(s.a, s.b) for s in c3_qf_solutions(1)] == [(1, 0)]
+    assert c3_qf_solutions(1) == [(1, 0)]
 
 
 def test_qf_solutions_norm_form_identity():
     # x = -a+2b+1, y = a+b+1 carries each solution to x^2 - xy + y^2 = 3n+1
     for n in range(200):
-        for s in c3_qf_solutions(n):
-            assert s.n == n
-            assert s.x * s.x - s.x * s.y + s.y * s.y == 3 * n + 1
+        for a, b in c3_qf_solutions(n):
+            assert a * a - a * b + b * b + b == n
+            x, y = -a + 2 * b + 1, a + b + 1
+            assert x * x - x * y + y * y == 3 * n + 1
 
 
 def test_c3_qf_count_box_is_stable():
@@ -116,7 +117,21 @@ def test_c3_qf_solutions_match_box_scan():
             for a in range(bound + 1)
             if a * a - a * b + b * b + b == n
         ]
-        assert [(s.a, s.b) for s in c3_qf_solutions(n)] == scan, n
+        assert c3_qf_solutions(n) == scan, n
+
+
+def test_trial_division_limit():
+    limit = cores.TRIAL_DIVISION_LIMIT
+    assert 3 * 333_333_333_333 + 1 == limit
+    assert c3_divisor_sum(333_333_333_333) == 1  # 10^12 = 2^12 * 5^12
+    assert not is_prime(limit)
+    for call in (
+        lambda: c3_divisor_sum(333_333_333_334),
+        lambda: is_prime(limit + 1),
+        lambda: legendre_symbol(2, 1_000_000_000_000_000_003),
+    ):
+        with pytest.raises(ValueError, match="over the limit"):
+            call()
 
 
 def test_c3_routes_agree():

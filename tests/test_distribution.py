@@ -210,21 +210,21 @@ def test_verify_3hook_examples():
         verify_3hook_vanishing(7, 0, 0, 100)  # 7 = 1 mod 3
 
 
-def test_counterexample_branch_fires_on_nonzero_count():
+def test_counterexample_branch_fires_on_nonzero_count(monkeypatch):
     # With every core count nonzero, the first n of the progression whose
     # sum has a term is a counterexample. For a1 = 1 that is n = 6 (resp.
     # 26): at n = 1 no k = 1 mod b has t*k <= n, so the sum is empty.
-    ones = [1] * 101
+    monkeypatch.setattr(
+        distribution, "_core_count_array", lambda t, n_max: [1] * (n_max + 1)
+    )
     for a1 in (1, 6):  # only a1 mod ell matters
-        v = verify_2hook_vanishing(5, a1, 1, 100, core_counts=ones)
+        v = verify_2hook_vanishing(5, a1, 1, 100)
         assert v.status == COUNTEREXAMPLE and v.counterexample == 6 and v.checked == 1
-    v = verify_3hook_vanishing(5, 1, 1, 100, core_counts=ones)
+    v = verify_3hook_vanishing(5, 1, 1, 100)
     assert v.status == COUNTEREXAMPLE and v.counterexample == 26 and v.checked == 1
     # a cell whose progression has a term at its first n fires there
-    v = verify_2hook_vanishing(5, 0, 2, 100, core_counts=ones)
+    v = verify_2hook_vanishing(5, 0, 2, 100)
     assert v.status == COUNTEREXAMPLE and v.counterexample == 2 and v.checked == 0
-    with pytest.raises(ValueError):
-        verify_2hook_vanishing(5, 1, 1, 101, core_counts=ones)
 
 
 def _first_nonzero_by_convolution(engine, a1, b, a2, n_max):
@@ -241,9 +241,15 @@ def _first_nonzero_by_convolution(engine, a1, b, a2, n_max):
         (3, (2, 5, 11), verify_3hook_vanishing, sweep_3hook_vanishing),
     ],
 )
-def test_structural_check_matches_convolution_on_every_cell(t, ells, verify, sweep):
+def test_structural_check_matches_convolution_on_every_cell(
+    monkeypatch, t, ells, verify, sweep
+):
     n_max = 2000
     engine = HookDistribution(t, n_max)
+    # every single-cell verify reads the engine's c_t instead of rebuilding it
+    monkeypatch.setattr(
+        distribution, "_core_count_array", lambda t, n_max: engine.core_counts
+    )
     for ell in ells:
         b = ell if t == 2 else ell * ell
         vanishing, hypothesis = [], []
@@ -256,7 +262,7 @@ def test_structural_check_matches_convolution_on_every_cell(t, ells, verify, swe
                 assert structural.counterexample == first, (ell, a1, a2)
                 if first is None:
                     vanishing.append((a1, a2))
-                verdict = verify(ell, a1, a2, n_max, core_counts=engine.core_counts)
+                verdict = verify(ell, a1, a2, n_max)
                 if verdict.status != HYPOTHESIS_NOT_MET:
                     hypothesis.append((a1, a2, verdict))
         assert vanishing == [(a1, a2) for a1, a2, _ in hypothesis], ell
