@@ -19,14 +19,12 @@ quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class CoreQuotient:
+class CoreQuotient(NamedTuple):
     """Image of a partition under the core/quotient bijection."""
 
     core: Partition

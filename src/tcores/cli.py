@@ -2,8 +2,8 @@
 
 Subcommands: hooks, decompose, core, cores-count, table, verify, no-check.
 Exit codes: 0 on success (all checks verified), 1 when a verification sweep
-finds a counterexample, 2 on usage errors. Output is deterministic for fixed
-arguments; --format selects text, json, or csv where applicable.
+finds a counterexample, 2 on usage errors and unwritable --out paths. Output
+is deterministic for fixed arguments; --format selects text, json, or csv.
 """
 
 from __future__ import annotations
@@ -123,16 +123,17 @@ def cmd_core(args) -> int:
 
 
 def cmd_cores_count(args) -> int:
-    cc = cores.count_t_cores(args.n, args.t, witnesses=args.witnesses)
+    found = cores.enumerate_t_cores(args.n, args.t) if args.witnesses else None
+    count = cores.count_t_cores(args.n, args.t) if found is None else len(found)
     if args.format == "json":
-        payload = {"n": cc.n, "t": cc.t, "count": cc.count}
-        if cc.witnesses is not None:
-            payload["witnesses"] = [list(w) for w in cc.witnesses]
+        payload = {"n": args.n, "t": args.t, "count": count}
+        if found is not None:
+            payload["witnesses"] = [list(w) for w in found]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
-    lines = [f"c_{cc.t}({cc.n}) = {cc.count}"]
-    if cc.witnesses is not None:
-        lines += ["  " + (",".join(map(str, w)) or "-") for w in cc.witnesses]
+    lines = [f"c_{args.t}({args.n}) = {count}"]
+    if found is not None:
+        lines += ["  " + (",".join(map(str, w)) or "-") for w in found]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -141,6 +142,8 @@ def cmd_table(args) -> int:
     rows = args.n if args.n is not None else DEFAULT_TABLE_ROWS
     if args.a is not None and not 0 <= args.a < args.b:
         raise UsageError(f"--a must lie in 0..{args.b - 1}")
+    if args.b < 1:
+        raise UsageError(f"modulus b must be at least 1, got {args.b}")
     residues = range(args.b) if args.a is None else (args.a,)
     if (cells := args.b * len(rows)) > TABLE_CELL_BUDGET:
         raise UsageError(f"the table has {cells} cells, over the budget of {TABLE_CELL_BUDGET}")
@@ -222,26 +225,26 @@ def _verify_part(args, lines: list[str]) -> int:
 
 
 def _verify_no_identity(args, lines: list[str]) -> int:
-    report = nekrasov.check_identity(args.mmax)
-    if report.ok:
-        lines.append(f"hook-length identity verified for all q-degrees <= {report.m_max}")
+    mismatches = nekrasov.check_identity(args.mmax)
+    if not mismatches:
+        lines.append(f"hook-length identity verified for all q-degrees <= {args.mmax}")
         return 0
-    for m, k in report.mismatches:
+    for m, k in mismatches:
         lines.append(f"MISMATCH at q-degree {m}, z-degree {k}")
     return 1
 
 
 def _verify_core_formulas(args, lines: list[str]) -> int:
-    report = cores.verify_core_formulas(
+    checked, failures = cores.verify_core_formulas(
         n_max=args.nmax, series_n_max=args.series_nmax, t_max=args.tmax
     )
     lines.append(
-        f"core-count agreement: n <= {report.n_max} for the t=2,3 formulas, "
-        f"n <= {report.series_n_max} for t <= {report.t_max} series ({report.checked} checks)"
+        f"core-count agreement: n <= {args.nmax} for the t=2,3 formulas, "
+        f"n <= {args.series_nmax} for t <= {args.tmax} series ({checked} checks)"
     )
-    for failure in report.failures:
+    for failure in failures:
         lines.append("MISMATCH " + failure)
-    return 0 if report.ok else 1
+    return 1 if failures else 0
 
 
 def cmd_verify(args) -> int:
@@ -344,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

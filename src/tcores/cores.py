@@ -4,13 +4,13 @@ Closed forms for t = 2 (triangular-number test on 8n+1) and t = 3 (a divisor
 sum over 3n+1 driven by the residue of each divisor mod 3), a positive
 definite quadratic-form count equivalent to the t = 3 case, and two generic
 routes — the product generating function and the runner theta-sum DP — that
-work for every t and serve as cross-checks. Direct abacus enumeration lists
-the cores themselves, for witnesses and as the DP's test oracle.
+work for every t and serve as cross-checks; count_t_cores returns a plain int.
+enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
+test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 from operator import add
@@ -351,47 +351,19 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     return sorted(cores, reverse=True)
 
 
-@dataclass(frozen=True)
-class CoreCount:
-    """c_t(n), optionally with the t-cores themselves as witnesses."""
-
-    n: int
-    t: int
-    count: int
-    witnesses: tuple[Partition, ...] | None = None
-
-
-def count_t_cores(n: int, t: int, witnesses: bool = False) -> CoreCount:
+def count_t_cores(n: int, t: int) -> int:
     """c_t(n) via the cheapest correct route for the given t."""
-    if witnesses:
-        found = tuple(enumerate_t_cores(n, t))
-        return CoreCount(n=n, t=t, count=len(found), witnesses=found)
     if t == 2:
-        return CoreCount(n=n, t=t, count=c2(n))
+        return c2(n)
     if t == 3:
-        return CoreCount(n=n, t=t, count=c3_divisor_sum(n))
-    return CoreCount(n=n, t=t, count=ct_count_series(t, n)[n])
-
-
-@dataclass(frozen=True)
-class CoreFormulaReport:
-    """Outcome of the multi-route agreement sweep over core counts."""
-
-    n_max: int
-    series_n_max: int
-    t_max: int
-    checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+        return c3_divisor_sum(n)
+    return ct_count_series(t, n)[n]
 
 
 def verify_core_formulas(
     n_max: int = 500, series_n_max: int = 200, t_max: int = 7
-) -> CoreFormulaReport:
-    """Check every counting route against the others.
+) -> tuple[int, tuple[str, ...]]:
+    """Check every counting route against the others; return (checks, failures).
 
     For n <= n_max: the t=3 divisor sum, the quadratic-form count and the
     runner theta-sum DP must agree, and the t=2 closed form must match the
@@ -431,10 +403,4 @@ def verify_core_formulas(
                 f"c_{t}: series and runner DP differ first at n={first}"
             )
         checked += series_n_max + 1
-    return CoreFormulaReport(
-        n_max=n_max,
-        series_n_max=series_n_max,
-        t_max=t_max,
-        checked=checked,
-        failures=tuple(failures),
-    )
+    return checked, tuple(failures)

@@ -16,12 +16,13 @@ The vanishing verifiers need no products: every c_t(m) is >= 0 and every
 Q_t(k) > 0 (the tuple of (k) and t - 1 empty partitions has size k), so
 p_t(a, b; n) = 0 exactly when every c_t(n - t*k) with k = a mod b is zero:
 no t-core sits on the progression, which is how the paper proves each
-vanishing. A sweep therefore reads only the c_t array.
+vanishing. A sweep therefore reads only the c_t array, through one table of
+the least m with c_t(m) > 0 in each class mod b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cores
 from .partitions import count_t_hooks, enumerate_partitions
@@ -130,8 +131,7 @@ def format_proportion(count: int, total: int) -> str:
     return f"{q // scale}.{q % scale:0{PROPORTION_PLACES}d}"
 
 
-@dataclass(frozen=True)
-class ResidueProfile:
+class ResidueProfile(NamedTuple):
     """The b residue-class counts of partitions of n by t-hook count."""
 
     t: int
@@ -174,8 +174,7 @@ def brute_force_profile(t: int, b: int, n: int) -> ResidueProfile:
     return ResidueProfile(t=t, b=b, n=n, counts=tuple(counts))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one vanishing check: verified, inapplicable, or refuted."""
 
     status: str
@@ -190,22 +189,30 @@ class Verdict:
 
 # Most (a1, a2) grid cells, modulus^2, that one sweep may visit. The report
 # keeps a verdict per hypothesis cell, half the grid for part 1: part1 --ell
-# 997 took about 4 s and 170 MB on a 2.1 GHz Xeon. part2 --ell 23 has 279,841.
+# 997 took about 1.7 s and 150 MB on a 2.1 GHz Xeon, at any n_max up to
+# NMAX_BUDGET. part2 --ell 23 has 279,841.
 SWEEP_CELL_BUDGET = 1_000_000
 
 
-def _check_cell(t, b, a1, a2, n_max, core_counts) -> Verdict:
+def _first_cores(t: int, n_max: int, b: int) -> dict[int, int]:
+    """r -> the least m <= n_max with m = r mod b and c_t(m) > 0, in one pass.
+
+    A dict, never a list of b entries: a single cell's b can be about 10^12.
+    """
+    counts = _core_count_array(t, n_max)
+    return {m % b: m for m in range(n_max, -1, -1) if counts[m]}
+
+
+def _check_cell(t, b, a1, a2, n_max, first) -> Verdict:
     # The first n = a2 mod b with some c_t(n - t*k) > 0, k = a1 mod b, is the
     # counterexample; checked counts the n before it. Only the smallest term,
     # k = a = a1 mod b, needs testing: c_t(n - t*k) > 0 is also the smallest
-    # term of n - t*(k - a), an earlier n of the same class mod b.
-    offset = t * (a1 % b)
-    checked = 0
-    for n in range(a2 % b, n_max + 1, b):
-        if n >= offset and core_counts[n - offset]:
-            return Verdict(COUNTEREXAMPLE, checked=checked, counterexample=n)
-        checked += 1
-    return Verdict(VERIFIED, checked=checked)
+    # term of n - t*(k - a), an earlier n of the same class mod b. So n - t*a
+    # is the least m = a2 - t*a1 mod b with c_t(m) > 0.
+    n = first.get((a2 - t * a1) % b, n_max + 1) + t * (a1 % b)
+    if n <= n_max:
+        return Verdict(COUNTEREXAMPLE, checked=(n - a2 % b) // b, counterexample=n)
+    return Verdict(VERIFIED, checked=len(range(a2 % b, n_max + 1, b)))
 
 
 def verify_2hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
@@ -219,7 +226,7 @@ def verify_2hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
     v = -16 * a1 + 8 * a2 + 1
     if cores.legendre_symbol(v, ell) != -1:
         return Verdict(HYPOTHESIS_NOT_MET, note=f"({v}/{ell}) != -1")
-    return _check_cell(2, ell, a1, a2, n_max, _core_count_array(2, n_max))
+    return _check_cell(2, ell, a1, a2, n_max, _first_cores(2, n_max, ell))
 
 
 def verify_3hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
@@ -233,11 +240,10 @@ def verify_3hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
     v = -9 * a1 + 3 * a2 + 1  # = 1 mod 3, so never 0
     if cores.padic_valuation(ell, v) != 1:
         return Verdict(HYPOTHESIS_NOT_MET, note=f"ord_{ell}({v}) != 1")
-    return _check_cell(3, ell * ell, a1, a2, n_max, _core_count_array(3, n_max))
+    return _check_cell(3, ell * ell, a1, a2, n_max, _first_cores(3, n_max, ell * ell))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Verdicts for the hypothesis cells (a1, a2) of one modulus, in order."""
 
     kind: str
@@ -273,11 +279,11 @@ def _sweep(kind, ell, t, modulus, n_max, slope, holds) -> SweepReport:
     if modulus * modulus > SWEEP_CELL_BUDGET:
         raise ValueError(f"a sweep mod {modulus} visits {modulus * modulus} cells, "
                          f"over the budget of {SWEEP_CELL_BUDGET}")
-    core_counts = _core_count_array(t, n_max)
+    first = _first_cores(t, n_max, modulus)
     good = [holds(r + modulus) for r in range(modulus)]
     c1, c2 = slope
     cells = tuple(
-        (a1, a2, _check_cell(t, modulus, a1, a2, n_max, core_counts))
+        (a1, a2, _check_cell(t, modulus, a1, a2, n_max, first))
         for a1 in range(modulus)
         for a2 in range(modulus)
         if good[(c1 * a1 + c2 * a2 + 1) % modulus]

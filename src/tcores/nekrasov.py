@@ -16,15 +16,14 @@ and the hook side S_m, with H_lam the product of lam's hook lengths, is
     m!^2 S_m = sum over lam of m of (m!/H_lam)^2 * prod over hooks (h^2 - z).
 
 The check compares m! g_m with m!^2 S_m, both m!^2 times the true sides;
-scaling by a positive constant keeps the first differing z-degree. Only the
-public views build Fraction values. Setting z = 2 or z = 4
-specializes the right side to the Euler and Jacobi series prod (1-q^n) and
+scaling by a positive constant keeps the first differing z-degree, which
+check_identity returns per mismatch. Only the public views build Fraction
+values. Setting z = 2 or z = 4 specializes the right side to the Euler and Jacobi series prod (1-q^n) and
 prod (1-q^n)^3, which tests compare against independent integer series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -100,20 +99,8 @@ def product_side(m: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, factorial(m)) for c in _scaled_product_sides(m)[m])
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Result of comparing both sides of the identity for all m <= m_max."""
-
-    m_max: int
-    mismatches: tuple[tuple[int, int], ...]  # (q-degree, first bad z-degree)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def check_identity(m_max: int) -> IdentityReport:
-    """Compare both sides of the identity at every q-degree m <= m_max.
+def check_identity(m_max: int) -> tuple[tuple[int, int], ...]:
+    """(q-degree, first bad z-degree) for each m <= m_max where the sides differ.
 
     Raises ValueError before any work when the partition side's hook factors,
     p(m) * m summed over m <= m_max, exceed NO_IDENTITY_BUDGET.
@@ -125,7 +112,7 @@ def check_identity(m_max: int) -> IdentityReport:
         bad = next((k for k, (lhs, rhs) in enumerate(pairs) if lhs != rhs), None)
         if bad is not None:
             mismatches.append((m, bad))
-    return IdentityReport(m_max=m_max, mismatches=tuple(mismatches))
+    return tuple(mismatches)
 
 
 def specialize(m_max: int, z: Fraction | int) -> tuple[Fraction, ...]:

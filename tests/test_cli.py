@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -362,6 +364,24 @@ def test_table_cell_budget(capsys, monkeypatch):
     assert builds == [(2, 12)]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("table --b 0 --n 60000", "modulus b must be at least 1, got 0"),
+        ("table --b -1 --t 3 --n 60000", "modulus b must be at least 1, got -1"),
+        ("table --b 0 --a 0 --n 5", "--a must lie in 0..-1"),
+    ],
+)
+def test_table_bad_modulus_builds_no_engine(capsys, monkeypatch, argv, message):
+    builds = []
+    monkeypatch.setattr(distribution, "HookDistribution", lambda *a: builds.append(a))
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert builds == []
+
+
 def test_verify_builds_no_engine(capsys, monkeypatch):
     builds = []
 
@@ -464,3 +484,25 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert target.read_text().splitlines()[0] == "n,a,count,proportion"
     assert capsys.readouterr().out == ""
+
+
+def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code = cli.main(["table", "--n", "5", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert not target.exists()
+
+
+def test_cli_import_skips_dataclasses():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tcores.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

@@ -206,19 +206,18 @@ def test_count_t_cores_up_to_rejects_bad_input():
 
 
 def test_count_t_cores_witnesses():
-    cc = count_t_cores(6, 2, witnesses=True)
-    assert cc.count == 1 and cc.witnesses == ((3, 2, 1),)
-    assert count_t_cores(6, 2).count == 1
-    assert count_t_cores(2, 3).count == 2
-    assert count_t_cores(11, 5).count == count_t_cores(11, 5, witnesses=True).count
+    assert enumerate_t_cores(6, 2) == [(3, 2, 1)]
+    assert count_t_cores(6, 2) == 1
+    assert count_t_cores(2, 3) == 2
+    assert count_t_cores(11, 5) == len(enumerate_t_cores(11, 5))
     # t >= 4 counts come from the series; the runner DP is the oracle
     for n, t in ((200, 7), (40, 4)):
-        assert count_t_cores(n, t).count == count_t_cores_up_to(t, n)[n]
+        assert count_t_cores(n, t) == count_t_cores_up_to(t, n)[n]
 
 
 def test_verify_core_formulas_small():
-    report = verify_core_formulas(n_max=100, series_n_max=60, t_max=5)
-    assert report.ok, report.failures
+    _, failures = verify_core_formulas(n_max=100, series_n_max=60, t_max=5)
+    assert not failures, failures
 
 
 def test_ct_count_series_skips_factors_beyond_truncation():
@@ -288,7 +287,7 @@ def test_verify_core_formulas_budget_sums_every_call(monkeypatch):
         for t, n in ((2, 30), (3, 30), (2, 20), (3, 20), (4, 20))
     )
     monkeypatch.setattr(cores, "CORE_COUNT_BUDGET", total)
-    assert verify_core_formulas(n_max=30, series_n_max=20, t_max=4).ok
+    assert verify_core_formulas(n_max=30, series_n_max=20, t_max=4)[1] == ()
     monkeypatch.setattr(cores, "CORE_COUNT_BUDGET", total - 1)
     calls = []
     monkeypatch.setattr(cores, "count_t_cores_up_to", lambda *a: calls.append(a))

@@ -227,6 +227,38 @@ def test_counterexample_branch_fires_on_nonzero_count(monkeypatch):
     assert v.status == COUNTEREXAMPLE and v.counterexample == 2 and v.checked == 0
 
 
+def _walk_cell(t, b, a1, a2, n_max, core_counts):
+    # Oracle: walk the n = a2 mod b up to n_max and test each smallest term.
+    offset = t * (a1 % b)
+    checked = 0
+    for n in range(a2 % b, n_max + 1, b):
+        if n >= offset and core_counts[n - offset]:
+            return distribution.Verdict(COUNTEREXAMPLE, checked, n)
+        checked += 1
+    return distribution.Verdict(VERIFIED, checked)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_first_core_table_matches_walk_on_every_cell(t):
+    for n_max in (0, 1, 2, 37, 300):
+        core_counts = distribution._core_count_array(t, n_max)
+        for b in range(1, 31):
+            first = distribution._first_cores(t, n_max, b)
+            assert len(first) <= min(b, n_max + 1)
+            for a1 in range(-b, b):
+                for a2 in range(-b, b):
+                    expected = _walk_cell(t, b, a1, a2, n_max, core_counts)
+                    got = distribution._check_cell(t, b, a1, a2, n_max, first)
+                    assert got == expected, (t, b, a1, a2, n_max)
+    # a modulus far beyond n_max keeps the table at the nonzero counts
+    counts = distribution._core_count_array(t, 50)
+    first = distribution._first_cores(t, 50, 10**12)
+    assert first == {m: m for m, c in enumerate(counts) if c}
+    assert distribution._check_cell(t, 10**12, 0, 1, 50, first) == (
+        _walk_cell(t, 10**12, 0, 1, 50, counts)
+    )
+
+
 def _first_nonzero_by_convolution(engine, a1, b, a2, n_max):
     for n in range(a2 % b, n_max + 1, b):
         if engine.count(a1, b, n):
@@ -252,12 +284,11 @@ def test_structural_check_matches_convolution_on_every_cell(
     )
     for ell in ells:
         b = ell if t == 2 else ell * ell
+        table = distribution._first_cores(t, n_max, b)
         vanishing, hypothesis = [], []
         for a1 in range(b):
             for a2 in range(b):
-                structural = distribution._check_cell(
-                    t, b, a1, a2, n_max, engine.core_counts
-                )
+                structural = distribution._check_cell(t, b, a1, a2, n_max, table)
                 first = _first_nonzero_by_convolution(engine, a1, b, a2, n_max)
                 assert structural.counterexample == first, (ell, a1, a2)
                 if first is None:
