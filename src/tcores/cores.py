@@ -1,10 +1,11 @@
 """Counting t-core partitions.
 
 Closed forms for t = 2 (triangular-number test on 8n+1) and t = 3 (a divisor
-sum over 3n+1 driven by the residue of each divisor mod 3), a positive
-definite quadratic-form count equivalent to the t = 3 case, and two generic
-routes — the product generating function and the runner theta-sum DP — that
-work for every t and serve as cross-checks; count_t_cores returns a plain int.
+sum over 3n+1 driven by the residue of each divisor mod 3, per n or sieved
+for every n up to a bound), a positive definite quadratic-form count
+equivalent to the t = 3 case, and two generic routes — the product
+generating function and the runner theta-sum DP — that work for every t and
+serve as cross-checks; count_t_cores returns a plain int.
 enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
 test oracle.
 """
@@ -114,6 +115,28 @@ def c3_divisor_sum(n: int) -> int:
     return sum(1 if d % 3 == 1 else -1 for d in _divisors(3 * n + 1))
 
 
+def c3_divisor_sums(n_max: int) -> list[int]:
+    """[c3_divisor_sum(n) for n in 0..n_max], by a sieve over the divisors.
+
+    A divisor d of 3n+1 pairs with e = (3n+1)/d, and d*e = 1 mod 3 makes
+    e = d mod 3, so both carry the same (d/3). Taking d <= e, the n with
+    3n+1 = d*e for e = d, d+3, d+6, ... start at (d^2-1)/3 and step by d:
+    each gains 2 (d/3), except the first, where e = d, which gains (d/3).
+    Only d <= sqrt(3 n_max + 1) start a progression, O(n_max log n_max) in all.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    counts = [0] * (n_max + 1)
+    for d in range(1, isqrt(3 * n_max + 1) + 1):
+        if d % 3 == 0:
+            continue
+        sign = 1 if d % 3 == 1 else -1
+        first = (d * d - 1) // 3
+        counts[first] += sign
+        counts[first + d :: d] = [c + 2 * sign for c in counts[first + d :: d]]
+    return counts
+
+
 def c3_qf_solutions(n: int) -> list[tuple[int, int]]:
     """All (a, b) in Z>=0 x Z>=0 with a^2 - a*b + b^2 + b = n.
 
@@ -149,17 +172,20 @@ def c3_qf_count(n: int) -> int:
     return len(c3_qf_solutions(n))
 
 
-# Most coefficient updates one ct_count_series call may make. An update took
-# about 50 ns on a 2.1 GHz Xeon (t = 5, N = 60,000: 9.5e7 updates, 5.0 s), so
-# the budget caps a call at about 5 s.
-SERIES_UPDATE_BUDGET = 100_000_000
+# Most coefficient updates, as _series_updates bounds them, that one
+# ct_count_series call may make. t = 5, N = 100,000 made 3.7e7 updates in
+# 3.6 s on a 2.1 GHz Xeon, 52 ns per bounded update (up to 76 ns at t = 50),
+# so the budget caps a call at about 5 s.
+SERIES_UPDATE_BUDGET = 80_000_000
 
 
 def _series_updates(t: int, truncation: int) -> int:
-    """Upper bound on ct_count_series's coefficient updates: t passes over N
-    with at most 2 isqrt(N/t) pentagonal terms, and one with 2 isqrt(N)."""
+    """Upper bound on ct_count_series's coefficient updates: a Miller pass
+    over N // t and a division pass over N, each n taking at most
+    2 isqrt(n) pentagonal terms."""
     n = max(truncation, 0)  # sparse_product rejects a negative N itself
-    return 2 * n * (t * isqrt(n // t) + isqrt(n))
+    m = n // t
+    return 2 * (m * isqrt(m) + n * isqrt(n))
 
 
 def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
@@ -167,6 +193,8 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
 
     Multiplying first keeps every intermediate coefficient small: E(q^t)^t
     and the quotient c_t grow polynomially, while 1/E(q) grows like p(n).
+    E(q^t)^t takes one Miller pass over N // t, and the division one pass
+    over N (see series).
     Raises ValueError before any work when _series_updates exceeds
     SERIES_UPDATE_BUDGET.
     """

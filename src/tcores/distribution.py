@@ -55,9 +55,11 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 COUNTEREXAMPLE = "counterexample"
 
 
-# Largest n_max for which _core_count_array builds c_t(0..n_max). At t = 3 it
-# calls c3_divisor_sum per n, O(sqrt(n)) each: n_max = 100,000 took 3.6 s on
-# a 2.1 GHz Xeon, and 400,000 took 21.5 s.
+# Largest n_max for which _core_count_array builds c_t(0..n_max). The c_3
+# sieve is cheap: verify part2 --ell 2 --nmax 100000 took 0.12 s in a fresh
+# process on a 2.1 GHz Xeon. A table at that n still pays for the tuple
+# series, and at t >= 4 for the c_t series too: table --n 100000 took 1.6 s
+# at --t 3 --b 9, 3.2 s at --t 2 and 5.7 s at --t 5.
 NMAX_BUDGET = 100_000
 
 
@@ -69,7 +71,7 @@ def _core_count_array(t: int, n_max: int) -> list[int]:
     if t == 2:
         return [cores.c2(n) for n in range(n_max + 1)]
     if t == 3:
-        return [cores.c3_divisor_sum(n) for n in range(n_max + 1)]
+        return cores.c3_divisor_sums(n_max)
     return list(cores.ct_count_series(t, n_max))
 
 

@@ -8,8 +8,19 @@ E(q) = prod_{m>=1} (1 - q^m). By Euler's pentagonal number theorem
 so up to q^N it has only O(sqrt(N)) nonzero terms, at the generalized
 pentagonal numbers 1, 2, 5, 7, 12, 15, ... Multiplying or dividing a
 coefficient table by E(q^s) is therefore one sparse recurrence pass over the
-table. Everything is plain big-integer arithmetic, so no floating point and
-no rounding anywhere. Computing to a larger truncation never changes lower
+table, and a factor E(q^s)^e takes |e| such passes.
+
+While the table is still 1, the first factor with |e| >= 2 instead takes one
+pass of J. C. P. Miller's recurrence for a power of a power series (Knuth,
+TAOCP Vol. 2, 4.7): with g = E(q) and h = g^e, g h' = e g' h gives
+
+    n h_n = sum over k >= 1 of ((e + 1) k - n) g_k h_{n-k},
+
+over the same pentagonal k, on N // s coefficients that then fill every s-th
+slot. The division is exact. At |e| = 1 the plain pass is the cheaper one,
+and a later factor no longer starts from 1, so both keep the plain pass.
+Everything is plain big-integer arithmetic, so no floating point and no
+rounding anywhere. Computing to a larger truncation never changes lower
 coefficients.
 """
 
@@ -17,6 +28,43 @@ from __future__ import annotations
 
 from math import isqrt
 from typing import Sequence
+
+
+def _pentagonal_terms(truncation: int) -> list[tuple[int, int]]:
+    """(g, coefficient of q^g in E(q)) for the pentagonal 1 <= g <= N, ascending.
+
+    g = k(3k-1)/2 and k(3k+1)/2 carry (-1)^k, and g >= k^2 bounds k.
+    """
+    return [
+        (g, (-1) ** k)
+        for k in range(1, isqrt(truncation) + 1)
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        if g <= truncation
+    ]
+
+
+def _eta_power(e: int, truncation: int) -> list[int]:
+    """Coefficients of q^0..q^N of E(q)^e by Miller's recurrence, in one pass.
+
+    Raises ArithmeticError if a division leaves a remainder, which exact
+    arithmetic rules out.
+    """
+    terms = [(g, (e + 1) * g, sign > 0) for g, sign in _pentagonal_terms(truncation)]
+    h = [1]
+    for n in range(1, truncation + 1):
+        acc = 0  # n * h_n
+        for g, weight, plus in terms:
+            if g > n:
+                break
+            if plus:
+                acc += (weight - n) * h[n - g]
+            else:
+                acc -= (weight - n) * h[n - g]
+        coeff, rest = divmod(acc, n)
+        if rest:
+            raise ArithmeticError(f"E(q)^{e}: n * h_n is not a multiple of n={n}")
+        h.append(coeff)
+    return h
 
 
 def sparse_product(
@@ -31,31 +79,31 @@ def sparse_product(
     if truncation < 0:
         raise ValueError(f"truncation must be non-negative, got {truncation}")
     c = [1] + [0] * truncation
+    untouched = True  # c is still the series 1
     for s, e in factors:
         if s < 1:
             raise ValueError(f"factor step s must be at least 1, got {s}")
-        # E(q^s) = 1 + sum of (-1)^k q^{s*g} over g = k(3k-1)/2, k(3k+1)/2;
-        # g >= k^2 bounds k. Dividing moves that sum across, flipping its
-        # signs, and runs ascending so c[n - d] already holds the quotient;
-        # multiplying runs descending so c[n - d] still holds the old value.
-        flip = 1 if e > 0 else -1
-        terms = [
-            (s * g, flip * (-1) ** k)
-            for k in range(1, isqrt(truncation // s) + 1)
-            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
-            if s * g <= truncation
-        ]
-        if not terms:
-            continue  # s > N: the factor is 1 up to q^N
-        order = range(truncation, 0, -1) if e > 0 else range(1, truncation + 1)
-        for _ in range(abs(e)):
-            for n in order:
-                acc = c[n]
-                for d, sign in terms:
-                    if d > n:
-                        break
-                    acc += sign * c[n - d]
-                c[n] = acc
+        pentagonal = _pentagonal_terms(truncation // s)
+        if not pentagonal or e == 0:
+            continue  # s > N or e = 0: the factor is 1 up to q^N
+        if untouched and abs(e) >= 2:
+            c[::s] = _eta_power(e, truncation // s)
+        else:
+            # Dividing moves E(q^s) - 1 across, flipping its signs, and runs
+            # ascending so c[n - d] already holds the quotient; multiplying
+            # runs descending so c[n - d] still holds the old value.
+            flip = 1 if e > 0 else -1
+            terms = [(s * g, flip * sign) for g, sign in pentagonal]
+            order = range(truncation, 0, -1) if e > 0 else range(1, truncation + 1)
+            for _ in range(abs(e)):
+                for n in order:
+                    acc = c[n]
+                    for d, sign in terms:
+                        if d > n:
+                            break
+                        acc += sign * c[n - d]
+                    c[n] = acc
+        untouched = False
     return tuple(c)
 
 

@@ -303,8 +303,8 @@ def test_nmax_budget_boundary(capsys, monkeypatch):
         "no-check --mmax 32",
         "no-check --mmax 1000000000",
         "verify no-identity --mmax 32",
-        "cores-count --n 100000 --t 5",
-        "cores-count --n 100000 --t 5 --witnesses",
+        "cores-count --n 200000 --t 5",
+        "cores-count --n 200000 --t 5 --witnesses",
         "verify part1 --ell 5 --nmax 100001",
         "verify part2 --ell 2 --nmax 100001",
         "verify part1 --ell 5 --a1 1 --a2 1 --nmax 100001",
@@ -319,6 +319,7 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(cores, "sparse_product", no_work)
     monkeypatch.setattr(cores, "c2", no_work)
     monkeypatch.setattr(cores, "c3_divisor_sum", no_work)
+    monkeypatch.setattr(cores, "c3_divisor_sums", no_work)
     assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,6 +7,7 @@ from tcores import cores
 from tcores.cores import (
     c2,
     c3_divisor_sum,
+    c3_divisor_sums,
     c3_qf_count,
     c3_qf_solutions,
     count_t_cores,
@@ -139,6 +140,13 @@ def test_c3_routes_agree():
         assert c3_divisor_sum(n) == c3_qf_count(n)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 3000])
+def test_c3_sieve_matches_divisor_sums(n_max):
+    assert c3_divisor_sums(n_max) == [c3_divisor_sum(n) for n in range(n_max + 1)]
+    with pytest.raises(ValueError):
+        c3_divisor_sums(-1)
+
+
 def test_ct_count_series_examples():
     assert ct_count_series(2, 6) == (1, 1, 0, 1, 0, 0, 1)
     assert ct_count_series(3, 2) == (1, 1, 2)
@@ -250,15 +258,11 @@ def test_count_budget_boundary(monkeypatch):
 
 
 def test_series_updates_bound_the_real_count():
-    # sparse_product's inner loop takes each pentagonal step d <= n once per n
+    # The Miller pass for E(q^t)^t runs over m = n // t and the division pass
+    # over n; each takes every pentagonal step g <= i once per i.
     def real(t, n):
         steps = [k * (3 * k + sign) // 2 for k in range(1, n + 1) for sign in (-1, 1)]
-        return sum(
-            abs(e) * (n - s * g + 1)
-            for s, e in ((t, t), (1, -1))
-            for g in steps
-            if 1 <= s * g <= n
-        )
+        return sum(top - g + 1 for top in (n // t, n) for g in steps if 1 <= g <= top)
 
     for t in (4, 5, 7, 9, 50):
         for n in (0, 1, 10, 100, 1000):

@@ -82,6 +82,13 @@ def test_monotone_truncation():
 def test_sparse_product_matches_strided_oracle():
     rng = random.Random(20210825)
     cases = [([], 0), ([], 9), ([(1, 0)], 12), ([(3, 2), (1, -1)], 0)]
+    # The first factor with |e| >= 2 takes the Miller pass only while the
+    # table is still 1: after a factor with e = 0 or s > N, but not after one
+    # with |e| = 1.
+    cases += [([(1, 0), (2, -3)], 40), ([(2, 0), (1, 4), (3, -2)], 45)]
+    cases += [([(50, 2), (1, -2)], 30), ([(31, -1), (3, 3)], 30)]
+    cases += [([(1, -1), (1, -2)], 40), ([(2, 1), (1, 3)], 40)]
+    cases += [([(1, -3)], 200), ([(5, 5), (1, -1)], 200), ([(2, -2), (3, 2)], 120)]
     for _ in range(150):
         factors = [
             (rng.randint(1, 7), rng.randint(-3, 3))
@@ -92,6 +99,12 @@ def test_sparse_product_matches_strided_oracle():
         assert sparse_product(factors, truncation) == _strided_product(
             factors, truncation
         ), (factors, truncation)
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_eta_inverse_power_matches_plain_passes(t):
+    # every factor with |e| = 1 keeps the plain pass, t times
+    assert eta_inverse_power_series(t, 300) == sparse_product([(1, -1)] * t, 300)
 
 
 def test_sparse_product_validation():
