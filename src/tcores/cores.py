@@ -51,34 +51,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Quadratic-residue symbol (a/p) in {-1, 0, +1} for an odd prime p.
-
-    Computed by Euler's criterion a^((p-1)/2) mod p with fast modular
-    exponentiation.
-    """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if a % p == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-def padic_valuation(ell: int, n: int) -> int:
-    """Largest e with ell^e dividing n (n nonzero; sign ignored)."""
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
-    if n == 0:
-        raise ValueError("the valuation of 0 is infinite")
-    n = abs(n)
-    e = 0
-    while n % ell == 0:
-        n //= ell
-        e += 1
-    return e
-
-
 def c2(n: int) -> int:
     """Number of 2-cores of n: 1 iff 8n+1 is a perfect (odd) square.
 
@@ -393,8 +365,8 @@ def verify_core_formulas(
 ) -> tuple[int, tuple[str, ...]]:
     """Check every counting route against the others; return (checks, failures).
 
-    For n <= n_max: the t=3 divisor sum, the quadratic-form count and the
-    runner theta-sum DP must agree, and the t=2 closed form must match the
+    For n <= n_max: the t=3 divisor sum, its sieve, the quadratic-form count
+    and the runner theta-sum DP must agree, and the t=2 closed form must match the
     DP. For n <= series_n_max and 2 <= t <= t_max: the generating-function
     coefficients must match the DP. Raises ValueError before any work when
     the DP's row-entry estimates, summed over every call, exceed
@@ -410,12 +382,14 @@ def verify_core_formulas(
     checked = 0
     by_dp2 = count_t_cores_up_to(2, n_max)
     by_dp3 = count_t_cores_up_to(3, n_max)
+    by_sieve = c3_divisor_sums(n_max)
     for n in range(n_max + 1):
         ds = c3_divisor_sum(n)
         qf = c3_qf_count(n)
-        if not ds == qf == by_dp3[n]:
+        if not ds == by_sieve[n] == qf == by_dp3[n]:
             failures.append(
-                f"c_3({n}): divisor sum {ds}, quadratic form {qf}, runner DP {by_dp3[n]}"
+                f"c_3({n}): divisor sum {ds}, sieve {by_sieve[n]}, "
+                f"quadratic form {qf}, runner DP {by_dp3[n]}"
             )
         if c2(n) != by_dp2[n]:
             failures.append(f"c_2({n}): closed form {c2(n)}, runner DP {by_dp2[n]}")

@@ -16,8 +16,11 @@ The vanishing verifiers need no products: every c_t(m) is >= 0 and every
 Q_t(k) > 0 (the tuple of (k) and t - 1 empty partitions has size k), so
 p_t(a, b; n) = 0 exactly when every c_t(n - t*k) with k = a mod b is zero:
 no t-core sits on the progression, which is how the paper proves each
-vanishing. A sweep therefore reads only the c_t array, through one table of
-the least m with c_t(m) > 0 in each class mod b.
+vanishing. The cores in question have sizes in the class r = a2 - t*a1 mod
+b, and each theorem's hypothesis is a condition on that class: (8r+1 / ell)
+= -1 for t = 2, b = ell, and ord_ell(3r+1) = 1 for t = 3, b = ell^2. A
+sweep asks the hypothesis once per class r and reads only the c_t array,
+through one table of the least m with c_t(m) > 0 in each class mod b.
 """
 
 from __future__ import annotations
@@ -217,18 +220,40 @@ def _check_cell(t, b, a1, a2, n_max, first) -> Verdict:
     return Verdict(VERIFIED, checked=len(range(a2 % b, n_max + 1, b)))
 
 
+def _theorem(t: int, ell: int):
+    """(b, m, holds, note) of the paper's vanishing theorem for t-hooks mod ell.
+
+    holds(v) is the hypothesis on v = m*r + 1 for the class r = a2 - t*a1
+    mod b (see the module docstring); it depends on v mod b only. note, a
+    format string in v and ell, is the verdict's text when it fails.
+    """
+    if t == 2:
+        if ell < 3 or not cores.is_prime(ell):
+            raise ValueError(f"ell must be an odd prime, got {ell}")
+        # Euler's criterion: (v/ell) = -1 exactly when v^((ell-1)/2) = -1 mod ell
+        return ell, 8, lambda v: pow(v, ell // 2, ell) == ell - 1, "({v}/{ell}) != -1"
+    if ell % 3 != 2 or not cores.is_prime(ell):
+        raise ValueError(f"ell must be a prime congruent to 2 mod 3, got {ell}")
+    # v = 1 mod 3 is never 0, so ord_ell(v) is finite
+    return (ell * ell, 3, lambda v: v % ell == 0 != v % (ell * ell),
+            "ord_{ell}({v}) != 1")
+
+
+def _verify(t: int, ell: int, a1: int, a2: int, n_max: int) -> Verdict:
+    b, m, holds, note = _theorem(t, ell)
+    v = m * (a2 - t * a1) + 1
+    if not holds(v):
+        return Verdict(HYPOTHESIS_NOT_MET, note=note.format(v=v, ell=ell))
+    return _check_cell(t, b, a1, a2, n_max, _first_cores(t, n_max, b))
+
+
 def verify_2hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
     """Check p_2(a1, ell; n) = 0 for every n <= n_max with n = a2 mod ell.
 
     Applies only when the symbol (-16*a1 + 8*a2 + 1 / ell) is -1; otherwise
     the verdict is hypothesis-not-met and nothing is asserted.
     """
-    if ell < 3 or not cores.is_prime(ell):
-        raise ValueError(f"ell must be an odd prime, got {ell}")
-    v = -16 * a1 + 8 * a2 + 1
-    if cores.legendre_symbol(v, ell) != -1:
-        return Verdict(HYPOTHESIS_NOT_MET, note=f"({v}/{ell}) != -1")
-    return _check_cell(2, ell, a1, a2, n_max, _first_cores(2, n_max, ell))
+    return _verify(2, ell, a1, a2, n_max)
 
 
 def verify_3hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
@@ -237,12 +262,7 @@ def verify_3hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
     Applies when ell is a prime congruent to 2 mod 3 and -9*a1 + 3*a2 + 1 is
     nonzero with ell-adic valuation exactly 1.
     """
-    if ell % 3 != 2 or not cores.is_prime(ell):
-        raise ValueError(f"ell must be a prime congruent to 2 mod 3, got {ell}")
-    v = -9 * a1 + 3 * a2 + 1  # = 1 mod 3, so never 0
-    if cores.padic_valuation(ell, v) != 1:
-        return Verdict(HYPOTHESIS_NOT_MET, note=f"ord_{ell}({v}) != 1")
-    return _check_cell(3, ell * ell, a1, a2, n_max, _first_cores(3, n_max, ell * ell))
+    return _verify(3, ell, a1, a2, n_max)
 
 
 class SweepReport(NamedTuple):
@@ -275,35 +295,27 @@ class SweepReport(NamedTuple):
         return sum(v.checked for _, _, v in self.cells)
 
 
-def _sweep(kind, ell, t, modulus, n_max, slope, holds) -> SweepReport:
-    # The hypothesis on v = c1*a1 + c2*a2 + 1 depends on v mod modulus only,
-    # so holds is asked once per residue r, at r + modulus (never 0).
-    if modulus * modulus > SWEEP_CELL_BUDGET:
-        raise ValueError(f"a sweep mod {modulus} visits {modulus * modulus} cells, "
+def _sweep(t: int, ell: int, n_max: int) -> SweepReport:
+    b, m, holds, _ = _theorem(t, ell)
+    if b * b > SWEEP_CELL_BUDGET:
+        raise ValueError(f"a sweep mod {b} visits {b * b} cells, "
                          f"over the budget of {SWEEP_CELL_BUDGET}")
-    first = _first_cores(t, n_max, modulus)
-    good = [holds(r + modulus) for r in range(modulus)]
-    c1, c2 = slope
+    first = _first_cores(t, n_max, b)
+    good = [holds(m * r + 1) for r in range(b)]
     cells = tuple(
-        (a1, a2, _check_cell(t, modulus, a1, a2, n_max, first))
-        for a1 in range(modulus)
-        for a2 in range(modulus)
-        if good[(c1 * a1 + c2 * a2 + 1) % modulus]
+        (a1, a2, _check_cell(t, b, a1, a2, n_max, first))
+        for a1 in range(b)
+        for a2 in range(b)
+        if good[(a2 - t * a1) % b]
     )
-    return SweepReport(kind=kind, ell=ell, modulus=modulus, n_max=n_max, cells=cells)
+    return SweepReport(kind=f"{t}-hook", ell=ell, modulus=b, n_max=n_max, cells=cells)
 
 
 def sweep_2hook_vanishing(ell: int, n_max: int) -> SweepReport:
     """verify_2hook_vanishing's verdicts on its hypothesis cells mod ell."""
-    if ell < 3 or not cores.is_prime(ell):
-        raise ValueError(f"ell must be an odd prime, got {ell}")
-    return _sweep("2-hook", ell, 2, ell, n_max, (-16, 8),
-                  lambda v: cores.legendre_symbol(v, ell) == -1)
+    return _sweep(2, ell, n_max)
 
 
 def sweep_3hook_vanishing(ell: int, n_max: int) -> SweepReport:
     """verify_3hook_vanishing's verdicts on its hypothesis cells mod ell^2."""
-    if ell % 3 != 2 or not cores.is_prime(ell):
-        raise ValueError(f"ell must be a prime congruent to 2 mod 3, got {ell}")
-    return _sweep("3-hook", ell, 3, ell * ell, n_max, (-9, 3),
-                  lambda v: cores.padic_valuation(ell, v) == 1)
+    return _sweep(3, ell, n_max)

@@ -240,6 +240,19 @@ def test_verify_hypothesis_not_met_is_ok(capsys):
     assert "hypothesis-not-met" in out
 
 
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        ("verify part1 --ell 3 --a1 -1 --a2 -7 --nmax 50", "(-39/3) != -1"),
+        ("verify part2 --ell 5 --a1 0 --a2 0 --nmax 10", "ord_5(1) != 1"),
+    ],
+)
+def test_verify_hypothesis_not_met_note(capsys, argv, note):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert f"hypothesis-not-met\n  {note}\nVERIFIED\n" in out
+
+
 def test_verify_bad_ell_usage_error(capsys):
     code = cli.main(["verify", "part1", "--ell", "9", "--nmax", "50"])
     assert code == 2
@@ -448,6 +461,24 @@ def test_verify_core_formulas_tmax_9(capsys):
     code, out = run(capsys, "verify", "core-formulas", "--tmax", "9")
     assert code == 0
     assert out.endswith("n <= 200 for t <= 9 series (2610 checks)\nVERIFIED\n")
+
+
+def test_verify_core_formulas_checks_the_sieve(capsys, monkeypatch):
+    sieve = cores.c3_divisor_sums
+
+    def one_wrong(n_max):
+        counts = sieve(n_max)
+        counts[7] += 1
+        return counts
+
+    monkeypatch.setattr(cores, "c3_divisor_sums", one_wrong)
+    code, out = run(capsys, "verify", "core-formulas", "--nmax", "20",
+                    "--series-nmax", "10", "--tmax", "4")
+    assert code == 1
+    c = cores.c3_divisor_sum(7)
+    assert (f"MISMATCH c_3(7): divisor sum {c}, sieve {c + 1}, quadratic form {c}, "
+            f"runner DP {c}\n") in out
+    assert out.endswith("COUNTEREXAMPLE FOUND\n")
 
 
 def test_verify_core_formulas_over_budget(capsys, monkeypatch):

@@ -1,9 +1,8 @@
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
 
-from tcores import cores
+from tcores import cores, distribution
 from tcores.cores import (
     c2,
     c3_divisor_sum,
@@ -15,8 +14,6 @@ from tcores.cores import (
     ct_count_series,
     enumerate_t_cores,
     is_prime,
-    legendre_symbol,
-    padic_valuation,
     verify_core_formulas,
 )
 from tcores.partitions import count_t_hooks, enumerate_partitions
@@ -27,37 +24,15 @@ def test_is_prime_small():
     assert [n for n in range(25) if is_prime(n)] == primes
 
 
-def test_legendre_examples():
-    assert legendre_symbol(-16 * 1 + 8 * 1 + 1, 5) == -1
-    assert legendre_symbol(0, 7) == 0
-    assert legendre_symbol(2, 7) == 1
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 2)
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 9)
-
-
 def test_legendre_matches_square_table():
+    # the t = 2 hypothesis (v/p) = -1, by Euler's criterion, against a table
+    # of the nonzero squares mod p
     for p in (3, 5, 7, 11, 13):
+        b, m, holds, _ = distribution._theorem(2, p)
+        assert (b, m) == (p, 8)
         squares = {x * x % p for x in range(1, p)}
         for a in range(-p, 2 * p):
-            expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
-            assert legendre_symbol(a, p) == expected
-
-
-@given(st.integers(-200, 200), st.integers(-200, 200), st.sampled_from([3, 5, 7, 11, 13]))
-def test_legendre_multiplicative(a, b, p):
-    assert legendre_symbol(a * b, p) == legendre_symbol(a, p) * legendre_symbol(b, p)
-
-
-def test_padic_valuation_examples():
-    assert padic_valuation(5, -9 * 1 + 3 * 1 + 1) == 1
-    assert padic_valuation(7, 1) == 0
-    assert padic_valuation(2, 48) == 4
-    with pytest.raises(ValueError):
-        padic_valuation(5, 0)
-    with pytest.raises(ValueError):
-        padic_valuation(4, 12)
+            assert holds(a) == (a % p != 0 and a % p not in squares), (p, a)
 
 
 def test_c2_examples():
@@ -129,7 +104,6 @@ def test_trial_division_limit():
     for call in (
         lambda: c3_divisor_sum(333_333_333_334),
         lambda: is_prime(limit + 1),
-        lambda: legendre_symbol(2, 1_000_000_000_000_000_003),
     ):
         with pytest.raises(ValueError, match="over the limit"):
             call()

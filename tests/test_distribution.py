@@ -223,6 +223,68 @@ def test_verify_3hook_examples():
         verify_3hook_vanishing(7, 0, 0, 100)  # 7 = 1 mod 3
 
 
+def _symbol_is_minus_one(v, p):
+    # Oracle for (v/p) = -1: v is a unit mod p and not a square of one.
+    return v % p != 0 and v % p not in {x * x % p for x in range(1, p)}
+
+
+def _valuation(ell, v):
+    # Oracle for ord_ell(v), v nonzero: divide out ell one factor at a time.
+    v, e = abs(v), 0
+    while v % ell == 0:
+        v, e = v // ell, e + 1
+    return e
+
+
+def test_3hook_hypothesis_matches_valuation_loop():
+    for ell in (2, 5, 11, 17, 23):
+        b, m, holds, _ = distribution._theorem(3, ell)
+        assert (b, m) == (ell * ell, 3)
+        for r in range(b):
+            for v in (3 * r + 1, 3 * (r - b) + 1):
+                assert holds(v) == (_valuation(ell, v) == 1), (ell, v)
+
+
+def test_2hook_hypothesis_matches_sympy():
+    ntheory = pytest.importorskip("sympy.ntheory")
+    for ell in (3, 5, 7, 11, 13, 997):
+        b, m, holds, _ = distribution._theorem(2, ell)
+        assert (b, m) == (ell, 8)
+        for r in range(ell):
+            # a non-residue, 0 included among the residues, has symbol -1
+            assert holds(8 * r + 1) == (not ntheory.is_quad_residue(8 * r + 1, ell))
+
+
+@pytest.mark.parametrize(
+    "t, ell, verify",
+    [
+        (2, 3, verify_2hook_vanishing),
+        (2, 5, verify_2hook_vanishing),
+        (2, 13, verify_2hook_vanishing),
+        (3, 2, verify_3hook_vanishing),
+        (3, 5, verify_3hook_vanishing),
+    ],
+)
+def test_single_cell_verdicts_on_any_integers(t, ell, verify):
+    # every (a1, a2) in -2b..2b-1: the hypothesis and note on the paper's
+    # literal v, and, where it holds, the theorem's verdict
+    b = ell if t == 2 else ell * ell
+    for a1 in range(-2 * b, 2 * b):
+        for a2 in range(-2 * b, 2 * b):
+            if t == 2:
+                v = -16 * a1 + 8 * a2 + 1
+                holds, note = _symbol_is_minus_one(v, ell), f"({v}/{ell}) != -1"
+            else:
+                v = -9 * a1 + 3 * a2 + 1
+                holds, note = _valuation(ell, v) == 1, f"ord_{ell}({v}) != 1"
+            verdict = verify(ell, a1, a2, 40)
+            if holds:
+                expected = (VERIFIED, len(range(a2 % b, 41, b)), None, "")
+            else:
+                expected = (HYPOTHESIS_NOT_MET, 0, None, note)
+            assert verdict == expected, (ell, a1, a2)
+
+
 def test_counterexample_branch_fires_on_nonzero_count(monkeypatch):
     # With every core count nonzero, the first n of the progression whose
     # sum has a term is a counterexample. For a1 = 1 that is n = 6 (resp.
