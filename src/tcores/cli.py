@@ -4,6 +4,8 @@ Subcommands: hooks, decompose, core, cores-count, table, verify, no-check.
 Exit codes: 0 on success (all checks verified), 1 when a verification sweep
 finds a counterexample, 2 on usage errors and unwritable --out paths. Output
 is deterministic for fixed arguments; --format selects text, json, or csv.
+Each command returns its exit code and output lines, and main writes the
+lines once, to stdout or to --out, so a refused run writes nothing.
 """
 
 from __future__ import annotations
@@ -45,14 +47,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_hooks(args) -> int:
+def cmd_hooks(args) -> tuple[int, list[str]]:
     lam = args.partition
     ts = args.t or []
     if lam.size > partitions.HOOK_CELL_BUDGET:
@@ -73,13 +68,11 @@ def cmd_hooks(args) -> int:
             "hook_lengths": lengths,
             "t_hook_counts": {str(t): k for t, k in t_hooks},
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return 0, [json.dumps(payload, indent=2)]
     lines = [" ".join(map(str, row)) for row in rows]
     lines.append("hook lengths: " + " ".join(map(str, lengths)))
     lines += [f"h_{t} = {k}" for t, k in t_hooks]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, lines
 
 
 def _decompose_payload(lam: Partition, t: int) -> dict:
@@ -96,7 +89,7 @@ def _decompose_payload(lam: Partition, t: int) -> dict:
     }
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[int, list[str]]:
     payload = _decompose_payload(args.partition, args.t)
     if args.format == "text":
         lines = [
@@ -107,38 +100,32 @@ def cmd_decompose(args) -> int:
             lines.append(f"quotient[{c}]: {','.join(map(str, comp)) or '-'}")
         ok = payload["size"] == payload["core_size"] + args.t * payload["quotient_size"]
         lines.append(payload["identity"] + (" OK" if ok else " MISMATCH"))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+        return 0, lines
+    return 0, [json.dumps(payload, indent=2)]
 
 
-def cmd_core(args) -> int:
+def cmd_core(args) -> tuple[int, list[str]]:
     core = t_core(args.partition, args.t)
     if args.format == "json":
-        _emit(json.dumps({"t": args.t, "core": list(core)}) + "\n", args.out)
-    else:
-        _emit((",".join(map(str, core)) or "-") + "\n", args.out)
-    return 0
+        return 0, [json.dumps({"t": args.t, "core": list(core)})]
+    return 0, [",".join(map(str, core)) or "-"]
 
 
-def cmd_cores_count(args) -> int:
+def cmd_cores_count(args) -> tuple[int, list[str]]:
     found = cores.enumerate_t_cores(args.n, args.t) if args.witnesses else None
     count = cores.count_t_cores(args.n, args.t) if found is None else len(found)
     if args.format == "json":
         payload = {"n": args.n, "t": args.t, "count": count}
         if found is not None:
             payload["witnesses"] = [list(w) for w in found]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return 0, [json.dumps(payload, indent=2)]
     lines = [f"c_{args.t}({args.n}) = {count}"]
     if found is not None:
         lines += ["  " + (",".join(map(str, w)) or "-") for w in found]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, lines
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, list[str]]:
     rows = args.n if args.n is not None else DEFAULT_TABLE_ROWS
     if args.a is not None and not 0 <= args.a < args.b:
         raise UsageError(f"--a must lie in 0..{args.b - 1}")
@@ -165,38 +152,37 @@ def cmd_table(args) -> int:
             }
             for prof, props in formatted
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return 0, [json.dumps(payload, indent=2)]
     if args.format == "text":
         lines = [f"t={args.t} b={args.b}"]
         for prof, props in formatted:
             lines.append(f"n={prof.n}: " + " ".join(props[a] for a in residues))
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
+        return 0, lines
     lines = ["n,a,count,proportion"]
     for prof, props in formatted:
         for a in residues:
             lines.append(f"{prof.n},{a},{prof.counts[a]},{props[a]}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, lines
 
 
-def _report_single(kind: str, ell: int, verdict, lines: list[str]) -> int:
-    lines.append(f"{kind} ell={ell}: {verdict.status}" + (
-        f" at n={verdict.counterexample}" if verdict.counterexample is not None else ""
-    ))
-    if verdict.status == distribution.VERIFIED:
-        lines.append(f"  {verdict.checked} values of n checked, all zero")
-    elif verdict.note:
-        lines.append(f"  {verdict.note}")
-    return 0 if verdict.ok else 1
-
-
-def _report_sweep(report, lines: list[str]) -> int:
-    lines.append(
-        f"{report.kind} vanishing, ell={report.ell}, residues mod {report.modulus}, "
-        f"n <= {report.n_max}:"
-    )
+def _verify_part(args) -> tuple[int, list[str]]:
+    if (args.a1 is None) != (args.a2 is None):
+        raise UsageError("--a1 and --a2 must be given together")
+    hooks = 2 if args.target == "part1" else 3
+    kind = f"{hooks}-hook vanishing"
+    if args.a1 is not None:
+        verify = getattr(distribution, f"verify_{hooks}hook_vanishing")
+        verdict = verify(args.ell, args.a1, args.a2, args.nmax)
+        lines = [f"{kind} ell={args.ell}: {verdict.status}" + (
+            f" at n={verdict.counterexample}" if verdict.counterexample is not None else ""
+        )]
+        if verdict.status == distribution.VERIFIED:
+            lines.append(f"  {verdict.checked} values of n checked, all zero")
+        elif verdict.note:
+            lines.append(f"  {verdict.note}")
+        return (0 if verdict.ok else 1), lines
+    report = getattr(distribution, f"sweep_{hooks}hook_vanishing")(args.ell, args.nmax)
+    lines = [f"{kind}, ell={args.ell}, residues mod {report.modulus}, n <= {args.nmax}:"]
     for a1, a2, v in report.cells:
         suffix = (
             f"counterexample at n={v.counterexample}"
@@ -209,57 +195,39 @@ def _report_sweep(report, lines: list[str]) -> int:
         f"{report.values_checked} values checked, "
         f"{len(report.counterexamples)} counterexamples"
     )
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), lines
 
 
-def _verify_part(args, lines: list[str]) -> int:
-    if (args.a1 is None) != (args.a2 is None):
-        raise UsageError("--a1 and --a2 must be given together")
-    hooks = 2 if args.target == "part1" else 3
-    if args.a1 is not None:
-        verify = getattr(distribution, f"verify_{hooks}hook_vanishing")
-        verdict = verify(args.ell, args.a1, args.a2, args.nmax)
-        return _report_single(f"{hooks}-hook vanishing", args.ell, verdict, lines)
-    sweep = getattr(distribution, f"sweep_{hooks}hook_vanishing")
-    return _report_sweep(sweep(args.ell, args.nmax), lines)
-
-
-def _verify_no_identity(args, lines: list[str]) -> int:
+def _verify_no_identity(args) -> tuple[int, list[str]]:
     mismatches = nekrasov.check_identity(args.mmax)
     if not mismatches:
-        lines.append(f"hook-length identity verified for all q-degrees <= {args.mmax}")
-        return 0
-    for m, k in mismatches:
-        lines.append(f"MISMATCH at q-degree {m}, z-degree {k}")
-    return 1
+        return 0, [f"hook-length identity verified for all q-degrees <= {args.mmax}"]
+    return 1, [f"MISMATCH at q-degree {m}, z-degree {k}" for m, k in mismatches]
 
 
-def _verify_core_formulas(args, lines: list[str]) -> int:
+def _verify_core_formulas(args) -> tuple[int, list[str]]:
     checked, failures = cores.verify_core_formulas(
         n_max=args.nmax, series_n_max=args.series_nmax, t_max=args.tmax
     )
-    lines.append(
+    lines = [
         f"core-count agreement: n <= {args.nmax} for the t=2,3 formulas, "
         f"n <= {args.series_nmax} for t <= {args.tmax} series ({checked} checks)"
-    )
-    for failure in failures:
-        lines.append("MISMATCH " + failure)
-    return 1 if failures else 0
+    ]
+    lines += ["MISMATCH " + failure for failure in failures]
+    return (1 if failures else 0), lines
 
 
-def cmd_verify(args) -> int:
-    lines: list[str] = []
+def cmd_verify(args) -> tuple[int, list[str]]:
     if args.nmax is None:
         args.nmax = 500 if args.target == "core-formulas" else 2000
     if args.target in ("part1", "part2"):
-        code = _verify_part(args, lines)
+        code, lines = _verify_part(args)
     elif args.target == "no-identity":
-        code = _verify_no_identity(args, lines)
+        code, lines = _verify_no_identity(args)
     else:
-        code = _verify_core_formulas(args, lines)
+        code, lines = _verify_core_formulas(args)
     lines.append("VERIFIED" if code == 0 else "COUNTEREXAMPLE FOUND")
-    _emit("\n".join(lines) + "\n", args.out)
-    return code
+    return code, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,10 +314,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        text = "\n".join(lines) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

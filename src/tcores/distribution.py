@@ -89,12 +89,15 @@ class HookDistribution:
         self.core_counts = _core_count_array(t, n_max)
         self.tuple_counts = eta_inverse_power_series(t, n_max // t)
 
-    def count(self, a: int, b: int, n: int) -> int:
-        """p_t(a, b; n), summing only the hook counts k = a mod b."""
+    def _check(self, b: int, n: int) -> None:
         if b < 1:
             raise ValueError(f"modulus b must be at least 1, got {b}")
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n={n} outside precomputed range 0..{self.n_max}")
+
+    def count(self, a: int, b: int, n: int) -> int:
+        """p_t(a, b; n), summing only the hook counts k = a mod b."""
+        self._check(b, n)
         t = self.t
         total = 0
         for k in range(a % b, n // t + 1, b):
@@ -103,10 +106,7 @@ class HookDistribution:
 
     def residue_counts(self, b: int, n: int) -> list[int]:
         """All b residue-class counts of n in one pass; sums to p(n)."""
-        if b < 1:
-            raise ValueError(f"modulus b must be at least 1, got {b}")
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside precomputed range 0..{self.n_max}")
+        self._check(b, n)
         t = self.t
         counts = [0] * b
         for k in range(n // t + 1):
@@ -268,10 +268,7 @@ def verify_3hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
 class SweepReport(NamedTuple):
     """Verdicts for the hypothesis cells (a1, a2) of one modulus, in order."""
 
-    kind: str
-    ell: int
     modulus: int
-    n_max: int
     cells: tuple[tuple[int, int, Verdict], ...]
 
     @property
@@ -308,7 +305,7 @@ def _sweep(t: int, ell: int, n_max: int) -> SweepReport:
         for a2 in range(b)
         if good[(a2 - t * a1) % b]
     )
-    return SweepReport(kind=f"{t}-hook", ell=ell, modulus=b, n_max=n_max, cells=cells)
+    return SweepReport(modulus=b, cells=cells)
 
 
 def sweep_2hook_vanishing(ell: int, n_max: int) -> SweepReport:

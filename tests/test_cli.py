@@ -538,3 +538,44 @@ def test_cli_import_skips_dataclasses():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "hooks 3,2,1 --t 2 --t 3 --format text",
+        "hooks 3,2,1 --t 2 --t 3 --format json",
+        "decompose 5,3,2,1 --t 3 --format text",
+        "decompose 5,3,2,1 --t 3 --format json",
+        "core 5,3,2,1 --t 3 --format text",
+        "core 5,3,2,1 --t 3 --format json",
+        "cores-count --n 6 --t 2 --witnesses --format text",
+        "cores-count --n 6 --t 2 --witnesses --format json",
+        "table --t 2 --b 3 --n 30,60 --format csv",
+        "table --t 2 --b 3 --n 30,60 --format json",
+        "table --t 2 --b 3 --n 30,60 --format text",
+        "verify part1 --ell 5 --a1 1 --a2 1 --nmax 300",
+        "verify part1 --ell 5 --nmax 300",
+        "verify part2 --ell 5 --a1 1 --a2 1 --nmax 300",
+        "verify part2 --ell 2 --nmax 300",
+        "verify no-identity --mmax 6",
+        "verify core-formulas --nmax 60 --series-nmax 40 --tmax 4",
+        "no-check --mmax 5",
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsysbinary, argv):
+    code = cli.main(argv.split())
+    stdout = capsysbinary.readouterr().out
+    target = tmp_path / "out"
+    assert cli.main(argv.split() + ["--out", str(target)]) == code
+    assert capsysbinary.readouterr().out == b""
+    assert stdout and target.read_bytes() == stdout
+
+
+def test_refused_run_writes_no_out_file(tmp_path, capsys):
+    target = tmp_path / "P"
+    assert cli.main(["verify", "part1", "--ell", "4", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ell must be an odd prime, got 4\n"
+    assert not target.exists()

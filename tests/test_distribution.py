@@ -372,8 +372,9 @@ def test_structural_check_matches_convolution_on_every_cell(
                 if verdict.status != HYPOTHESIS_NOT_MET:
                     hypothesis.append((a1, a2, verdict))
         assert vanishing == [(a1, a2) for a1, a2, _ in hypothesis], ell
+        # the report holds what the sweep computed and nothing it was given
         report = sweep(ell, n_max)
-        assert report.cells == tuple(hypothesis)
+        assert report == (b, tuple(hypothesis))
         assert report.hypothesis_cells == len(hypothesis)
 
 
