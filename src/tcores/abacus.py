@@ -19,7 +19,9 @@ quotient.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from operator import add
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import Partition
 
@@ -33,7 +35,7 @@ class CoreQuotient(NamedTuple):
 
     @property
     def quotient_size(self) -> int:
-        return sum(comp.size for comp in self.quotient)
+        return sum(map(sum, self.quotient))
 
 
 def default_bead_count(num_parts: int, t: int) -> int:
@@ -50,9 +52,7 @@ def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, .
     s = len(lam) if pad_to is None else pad_to
     if s < len(lam):
         raise ValueError(f"pad_to={s} is below the number of parts {len(lam)}")
-    padding = range(s - len(lam) - 1, -1, -1)
-    # enumerate(lam, 1 - s) counts j = i - s for the 1-based row i
-    return (*[p - j for j, p in enumerate(lam, 1 - s)], *padding)
+    return (*map(add, lam, range(s - 1, -1, -1)), *range(s - len(lam) - 1, -1, -1))
 
 
 # Most runners one abacus may have. Storage is linear in t, about 160 bytes
@@ -61,27 +61,35 @@ def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, .
 MAX_RUNNERS = 100_000
 
 
+def _beads(lam: Partition, t: int) -> tuple[int, Iterator[int]]:
+    # (k, the parts' structure numbers) at the default bead count; the k < t
+    # padding beads k-1, ..., 0 sit in row 0 of runners 0..k-1, below the rest.
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
+    if t > MAX_RUNNERS:
+        raise ValueError(f"t={t} is over the limit of {MAX_RUNNERS} runners")
+    s = default_bead_count(len(lam), t)
+    return s - len(lam), map(add, lam, range(s - 1, -1, -1))
+
+
+def _rows(lam: Partition, t: int) -> list[list[int]]:
+    # The one bead pass: runner c gets B // t for each B = c mod t, descending.
+    padding, values = _beads(lam, t)
+    rows: list[list[int]] = [[] for _ in range(t)]
+    for b in values:
+        rows[b % t].append(b // t)
+    for c in range(padding):
+        rows[c].append(0)
+    return rows
+
+
 def runners(lam: Partition, t: int) -> tuple[tuple[int, ...], ...]:
     """Runner c lists B // t for each structure number B = c mod t of lam.
 
     Rows are descending; the bead count follows the padding rule.
     Raises ValueError for t above MAX_RUNNERS.
     """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    if t > MAX_RUNNERS:
-        raise ValueError(f"t={t} is over the limit of {MAX_RUNNERS} runners")
-    rows: list[list[int]] = [[] for _ in range(t)]
-    for b in structure_numbers(lam, pad_to=default_bead_count(len(lam), t)):
-        rows[b % t].append(b // t)
-    return tuple(map(tuple, rows))
-
-
-def _decode(rows: Sequence[Iterable[int]]) -> Partition:
-    # The partition with structure numbers t*r + c for each row r of runner c.
-    t = len(rows)
-    values = sorted((t * r + c for c, rs in enumerate(rows) for r in rs), reverse=True)
-    return _partition_from_descending(values)
+    return tuple(map(tuple, _rows(lam, t)))
 
 
 def core_from_counts(counts: Iterable[int]) -> Partition:
@@ -89,7 +97,9 @@ def core_from_counts(counts: Iterable[int]) -> Partition:
     counts = tuple(counts)
     if min(counts, default=0) < 0:
         raise ValueError(f"bead counts must be non-negative, got {counts}")
-    return _decode([range(a) for a in counts])
+    t = len(counts)
+    values = [b for c, a in enumerate(counts) for b in range(c, c + t * a, t)]
+    return _partition_from_descending(sorted(values, reverse=True))
 
 
 def _partition_from_descending(values: Sequence[int]) -> Partition:
@@ -102,7 +112,11 @@ def t_core(lam: Partition, t: int) -> Partition:
     """The unique t-core obtained by removing rim t-hooks until none remain."""
     if t > max(lam.size, 1):  # t >= 2 and no hook of lam reaches length t
         return lam
-    return core_from_counts(map(len, runners(lam, t)))
+    padding, values = _beads(lam, t)
+    counts = [1] * padding + [0] * (t - padding)
+    for b in values:
+        counts[b % t] += 1
+    return core_from_counts(counts)
 
 
 def decompose(lam: Partition, t: int) -> CoreQuotient:
@@ -111,7 +125,7 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     The total quotient size equals the number of t-hooks of lam, and
     |lam| = |core| + t * (total quotient size).
     """
-    rows = runners(lam, t)
+    rows = _rows(lam, t)
     return CoreQuotient(
         core=core_from_counts(map(len, rows)),
         quotient=tuple(map(_partition_from_descending, rows)),
@@ -124,20 +138,17 @@ def compose(cq: CoreQuotient) -> Partition:
     t = cq.t
     if len(cq.quotient) != t:
         raise ValueError(f"quotient must have {t} components, got {len(cq.quotient)}")
-    rows = runners(cq.core, t)
+    rows = _rows(cq.core, t)
     # A t-core's runners are gap-free: their descending rows start at count - 1.
     if any(rs and rs[0] != len(rs) - 1 for rs in rows):
         raise ValueError(f"core {tuple(cq.core)} has a {t}-hook")
-    counts = list(map(len, rows))
-    # Grow the padding (one bead lands atop every runner per t extra zero
-    # parts) until each runner has at least as many beads as its component
-    # has parts.
-    extra = max(
-        [len(comp) - counts[c] for c, comp in enumerate(cq.quotient)], default=0
-    )
-    if extra > 0:
-        counts = [a + extra for a in counts]
-    return _decode(
-        [structure_numbers(comp, pad_to=a) for comp, a in zip(cq.quotient, counts)]
-    )
-
+    # t more zero parts put one more bead atop every runner: add them until
+    # runner c can hold comp's structure numbers, padded to counts[c] parts.
+    extra = max(0, max(len(comp) - len(rs) for comp, rs in zip(cq.quotient, rows)))
+    counts = [len(rs) + extra for rs in rows]
+    values = [
+        t * r + c
+        for c, (comp, a) in enumerate(zip(cq.quotient, counts))
+        for r in chain(map(add, comp, range(a - 1, -1, -1)), range(a - len(comp)))
+    ]
+    return _partition_from_descending(sorted(values, reverse=True))

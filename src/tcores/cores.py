@@ -13,8 +13,7 @@ test oracle.
 from __future__ import annotations
 
 from itertools import chain
-from math import isqrt
-from operator import add
+from math import isqrt, prod
 from typing import Iterable, Iterator
 
 from .abacus import core_from_counts
@@ -254,11 +253,11 @@ def _busy_runners(t: int, max_size: int) -> Iterator[tuple[int, range]]:
 
 
 # Most row entries that the runner DP may add, in one count_t_cores_up_to
-# call or summed over every call of one verify_core_formulas. An entry takes
-# about 30 ns at t <= 3 on a 2.1 GHz Xeon (rows start later at larger t, and
-# t = 7 takes about 15 ns), so the budget caps either at about 5 s.
+# call or summed over every call of one verify_core_formulas. An entry took
+# about 1 ns at t <= 3 on a 2.0 GHz Xeon, 2.6 ns at t = 7 and up to 6 ns at
+# large t, whose wide entries hold big counts: the budget caps either near 1 s.
 CORE_COUNT_BUDGET = 150_000_000
-# A call's fixed overhead in row entries: about 6 us at max_size = 0.
+# A call's fixed overhead in row entries: about 5 us at max_size = 0.
 _CALL_ENTRIES = 200
 
 
@@ -302,37 +301,34 @@ def count_t_cores_up_to(t: int, max_size: int) -> list[int]:
     _runner_offset_vectors; Garvan, Kim and Stanton's theta-sum form). The DP
     adds runners t-1, ..., 1 to a table of counts by (offset sum S, 2 * size
     so far), held as one row per S, and runner 0 closes each row at x_0 = -S.
+    A row packs its 2 * max_size + 1 counts into one int, w bits apiece: no
+    count exceeds the product of the runners' offset counts, whose bit length
+    rounded up to whole bytes is w. An offset is one shift, a merge one add.
     Raises ValueError before any work when _dp_row_entries exceeds
     CORE_COUNT_BUDGET.
     """
     _check_count_budget([(t, max_size)])
     length = 2 * max_size + 1
-    # offset sum -> (index of its first nonzero entry, row)
-    rows = {0: (0, [1] + [0] * (length - 1))}
-    for c, xs in _busy_runners(t, max_size):
+    busy = list(_busy_runners(t, max_size))
+    nbytes = (prod(len(xs) for _, xs in busy).bit_length() + 7) // 8
+    w = 8 * nbytes
+    mask = (1 << w * length) - 1
+    rows = {0: 1}  # offset sum -> packed row
+    for c, xs in busy:
         d = 2 * c - t + 1
-        grown: dict[int, tuple[int, list[int]]] = {}
-        for total, (low, row) in rows.items():
+        grown: dict[int, int] = {}
+        for total, row in rows.items():
             for x in xs:
-                shift = t * x * x + d * x
-                start = low + shift
-                if start >= length:
-                    continue
-                moved = row[low : length - shift]
-                if total + x not in grown:
-                    grown[total + x] = (start, [0] * start + moved)
-                    continue
-                first, acc = grown[total + x]
-                acc[start:] = map(add, acc[start:], moved)
-                grown[total + x] = (min(first, start), acc)
+                if moved := (row << w * (t * x * x + d * x)) & mask:
+                    grown[total + x] = grown.get(total + x, 0) + moved
         rows = grown
-    counts = [0] * (max_size + 1)
-    for total, (low, row) in rows.items():
-        shift = t * total * total + (t - 1) * total  # runner 0 at x_0 = -total
-        # a core's 2 * size is even, so shift + low is, and so is every size2
-        for size2 in range(shift + low, length, 2):
-            counts[size2 // 2] += row[size2 - shift]
-    return counts
+    # runner 0 closes row S at x_0 = -S, which adds t S^2 + (t - 1) S to 2 * size
+    shifts = {total: t * total * total + (t - 1) * total for total in rows}
+    closed = sum(rows[s] << w * shift for s, shift in shifts.items() if shift < length)
+    # a core's 2 * size is even: its count sits at an even entry
+    data = (closed & mask).to_bytes(nbytes * length, "little")
+    evens = range(0, len(data), 2 * nbytes)
+    return [int.from_bytes(data[i : i + nbytes], "little") for i in evens]
 
 
 def enumerate_t_cores(n: int, t: int) -> list[Partition]:

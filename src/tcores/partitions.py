@@ -119,7 +119,10 @@ def count_t_hooks(lam: Partition, t: int) -> int:
     """Number of cells whose hook length is divisible by t."""
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    return sum(1 for row in hook_rows(lam) for h in row if h % t == 0)
+    # h(i, j) = (lam_i - i + 1) + (lam'_j - j), so t | h(i, j) exactly when
+    # lam'_j - j = i - lam_i - 1 (mod t); row i counts its first lam_i marks.
+    marks = [(col - j) % t for j, col in enumerate(conjugate(lam), 1)]
+    return sum(marks[:part].count((i - part - 1) % t) for i, part in enumerate(lam, 1))
 
 
 def representation_dimension(lam: Partition) -> int:

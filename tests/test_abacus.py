@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcores.abacus import (
+    MAX_RUNNERS,
     CoreQuotient,
     compose,
     core_from_counts,
@@ -14,7 +15,7 @@ from tcores.abacus import (
     t_core,
 )
 from tcores.cores import enumerate_t_cores
-from tcores.partitions import Partition, count_t_hooks, enumerate_partitions
+from tcores.partitions import Partition, count_t_hooks, enumerate_partitions, hook_rows
 
 
 # Beta-set oracle, independent of the runner code: lam padded to s parts is
@@ -41,6 +42,32 @@ def beta_core(beta, t):
 
 def beta_quotient(beta, t):
     return tuple(beta_decode({b // t for b in beta if b % t == c}) for c in range(t))
+
+
+def beta_compose(core, quotient, t):
+    # pad the core's beta set, t beads at a time to keep the labelling, until
+    # runner c holds as many beads as quotient[c] has parts, then put
+    # quotient[c]'s beta set on runner c
+    s = default_bead_count(len(core), t)
+    while True:
+        beta = beta_set(core, s)
+        counts = [sum(b % t == c for b in beta) for c in range(t)]
+        if all(a >= len(comp) for a, comp in zip(counts, quotient)):
+            break
+        s += t
+    return beta_decode(
+        {t * b + c for c, comp in enumerate(quotient) for b in beta_set(comp, counts[c])}
+    )
+
+
+def _partition_of(parts):
+    return Partition(sorted(parts, reverse=True))
+
+
+# Long (many parts <= 3) and wide (at most 4 parts) partitions of size <= 120.
+long_or_wide = st.one_of(
+    st.lists(st.integers(1, 3), max_size=40), st.lists(st.integers(1, 30), max_size=4)
+).map(_partition_of)
 
 
 def test_structure_numbers_examples():
@@ -299,3 +326,57 @@ def test_runners_and_core_from_counts_examples():
     assert core_from_counts(()) == ()
     with pytest.raises(ValueError):
         core_from_counts((0, -1))
+
+
+@given(long_or_wide, st.integers(2, 11))
+def test_abacus_matches_beta_sets(lam, t):
+    beta = beta_set(lam, default_bead_count(len(lam), t))
+    rows = runners(lam, t)
+    assert {t * r + c for c, rs in enumerate(rows) for r in rs} == beta
+    assert all(list(rs) == sorted(rs, reverse=True) for rs in rows)
+    core = beta_decode(beta_core(beta, t))
+    quotient = beta_quotient(beta, t)
+    assert decompose(lam, t) == (core, quotient, t)
+    assert t_core(lam, t) == core
+    assert compose(CoreQuotient(core, quotient, t)) == lam
+
+
+@given(
+    long_or_wide,
+    st.integers(2, 11),
+    st.lists(st.lists(st.integers(1, 6), max_size=5).map(_partition_of), max_size=11),
+)
+def test_compose_matches_beta_sets(lam, t, comps):
+    # any t-core with any quotient, including components longer than the
+    # core's runners, which forces extra padding
+    core = beta_decode(beta_core(beta_set(lam, default_bead_count(len(lam), t)), t))
+    quotient = (*comps[:t], *[Partition()] * (t - len(comps[:t])))
+    assert compose(CoreQuotient(core, quotient, t)) == beta_compose(core, quotient, t)
+
+
+@pytest.mark.parametrize(
+    "cq, message",
+    [
+        (CoreQuotient(Partition(), (Partition(),), 1), "t must be at least 2, got 1"),
+        (CoreQuotient(Partition(), (), 0), "t must be at least 2, got 0"),
+        (
+            CoreQuotient(Partition(), (Partition(),) * (MAX_RUNNERS + 1), MAX_RUNNERS + 1),
+            f"t={MAX_RUNNERS + 1} is over the limit of {MAX_RUNNERS} runners",
+        ),
+        (CoreQuotient(Partition((2,)), (Partition(),) * 2, 2), "core (2,) has a 2-hook"),
+        (CoreQuotient(Partition(), (Partition(),), 2), "quotient must have 2 components, got 1"),
+        (
+            CoreQuotient(Partition(), (Partition(),) * 3, -3),
+            "quotient must have -3 components, got 3",
+        ),
+    ],
+)
+def test_compose_refusals(cq, message):
+    with pytest.raises(ValueError) as info:
+        compose(cq)
+    assert str(info.value) == message
+
+
+@given(long_or_wide, st.integers(2, 11))
+def test_count_t_hooks_matches_hook_rows(lam, t):
+    assert count_t_hooks(lam, t) == sum(h % t == 0 for row in hook_rows(lam) for h in row)

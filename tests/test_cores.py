@@ -1,4 +1,5 @@
-from math import isqrt
+from math import isqrt, prod
+from operator import add
 
 import pytest
 
@@ -160,6 +161,8 @@ def test_enumerate_modes_agree():
 def test_count_t_cores_up_to_matches_series():
     for t in (2, 3, 4, 5, 6, 7):
         assert tuple(count_t_cores_up_to(t, 80)) == ct_count_series(t, 80)
+    # c_60(200) has 42 bits: a packed entry must hold more than 5 bytes
+    assert tuple(count_t_cores_up_to(60, 200)) == ct_count_series(60, 200)
 
 
 def _enumerated_counts(t, max_size):
@@ -178,6 +181,57 @@ def test_count_t_cores_up_to_matches_enumeration(t, max_size):
     dp = count_t_cores_up_to(t, max_size)
     assert dp == _enumerated_counts(t, max_size)
     assert tuple(dp) == ct_count_series(t, max_size)
+
+
+def _list_row_dp(t, max_size):
+    """The runner DP on plain lists: (counts, largest entry any row held).
+
+    Same recursion as count_t_cores_up_to, one list of 2 * max_size + 1
+    counts per offset sum, each offset a sliced copy and each merge an
+    element-wise add.
+    """
+    length = 2 * max_size + 1
+    # offset sum -> (index of its first nonzero entry, row)
+    rows = {0: (0, [1] + [0] * (length - 1))}
+    largest = 1
+    for c, xs in cores._busy_runners(t, max_size):
+        d = 2 * c - t + 1
+        grown = {}
+        for total, (low, row) in rows.items():
+            for x in xs:
+                shift = t * x * x + d * x
+                start = low + shift
+                if start >= length:
+                    continue
+                moved = row[low : length - shift]
+                if total + x not in grown:
+                    grown[total + x] = (start, [0] * start + moved)
+                    continue
+                first, acc = grown[total + x]
+                acc[start:] = map(add, acc[start:], moved)
+                grown[total + x] = (min(first, start), acc)
+        rows = grown
+        largest = max([largest, *(max(row) for _, row in rows.values())])
+    counts = [0] * (max_size + 1)
+    for total, (low, row) in rows.items():
+        shift = t * total * total + (t - 1) * total  # runner 0 at x_0 = -total
+        for size2 in range(shift + low, length, 2):
+            counts[size2 // 2] += row[size2 - shift]
+    return counts, max(largest, *counts)
+
+
+@pytest.mark.parametrize(
+    "t, max_size",
+    [(2, 2000), (3, 2000), *((t, 200) for t in range(4, 13)),
+     (20, 60), (30, 60), (40, 60), (60, 60)],
+)
+def test_packed_dp_matches_list_rows(t, max_size):
+    # (40, 60) and (60, 60) pack entries 9 and 12 bytes wide
+    counts, largest = _list_row_dp(t, max_size)
+    assert count_t_cores_up_to(t, max_size) == counts
+    # the packed width rests on this bound: no entry exceeds the number of
+    # offset vectors of the busy runners
+    assert largest <= prod(len(xs) for _, xs in cores._busy_runners(t, max_size))
 
 
 def test_count_t_cores_up_to_rejects_bad_input():
