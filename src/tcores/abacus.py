@@ -43,18 +43,6 @@ def default_bead_count(num_parts: int, t: int) -> int:
     return -(-num_parts // t) * t
 
 
-def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, ...]:
-    """B_i = lam_i - i + s for i = 1..s, with s parts after zero-padding.
-
-    With the default s = #parts, B_i is the hook length of cell (i, 1).
-    Padding by one extra zero part shifts every entry up by one and appends 0.
-    """
-    s = len(lam) if pad_to is None else pad_to
-    if s < len(lam):
-        raise ValueError(f"pad_to={s} is below the number of parts {len(lam)}")
-    return (*map(add, lam, range(s - 1, -1, -1)), *range(s - len(lam) - 1, -1, -1))
-
-
 # Most runners one abacus may have. Storage is linear in t, about 160 bytes
 # a runner: `tcores decompose 1 --t 100000` took 0.6 s and 31 MB peak on a
 # 2.1 GHz Xeon, and --t 1000000 took 6 s and 170 MB.

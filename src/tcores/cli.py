@@ -11,9 +11,7 @@ lines once, to stdout or to --out, so a refused run writes nothing.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import cores, distribution, nekrasov, partitions
 from .abacus import decompose, t_core
@@ -27,6 +25,12 @@ TABLE_CELL_BUDGET = 1_000_000
 
 class UsageError(Exception):
     pass
+
+
+def _dumps(payload, **kwargs) -> str:
+    import json  # loaded only for a --format json payload
+
+    return json.dumps(payload, **kwargs)
 
 
 def _parse_partition(text: str) -> Partition:
@@ -68,7 +72,7 @@ def cmd_hooks(args) -> tuple[int, list[str]]:
             "hook_lengths": lengths,
             "t_hook_counts": {str(t): k for t, k in t_hooks},
         }
-        return 0, [json.dumps(payload, indent=2)]
+        return 0, [_dumps(payload, indent=2)]
     lines = [" ".join(map(str, row)) for row in rows]
     lines.append("hook lengths: " + " ".join(map(str, lengths)))
     lines += [f"h_{t} = {k}" for t, k in t_hooks]
@@ -101,13 +105,13 @@ def cmd_decompose(args) -> tuple[int, list[str]]:
         ok = payload["size"] == payload["core_size"] + args.t * payload["quotient_size"]
         lines.append(payload["identity"] + (" OK" if ok else " MISMATCH"))
         return 0, lines
-    return 0, [json.dumps(payload, indent=2)]
+    return 0, [_dumps(payload, indent=2)]
 
 
 def cmd_core(args) -> tuple[int, list[str]]:
     core = t_core(args.partition, args.t)
     if args.format == "json":
-        return 0, [json.dumps({"t": args.t, "core": list(core)})]
+        return 0, [_dumps({"t": args.t, "core": list(core)})]
     return 0, [",".join(map(str, core)) or "-"]
 
 
@@ -118,7 +122,7 @@ def cmd_cores_count(args) -> tuple[int, list[str]]:
         payload = {"n": args.n, "t": args.t, "count": count}
         if found is not None:
             payload["witnesses"] = [list(w) for w in found]
-        return 0, [json.dumps(payload, indent=2)]
+        return 0, [_dumps(payload, indent=2)]
     lines = [f"c_{args.t}({args.n}) = {count}"]
     if found is not None:
         lines += ["  " + (",".join(map(str, w)) or "-") for w in found]
@@ -152,7 +156,7 @@ def cmd_table(args) -> tuple[int, list[str]]:
             }
             for prof, props in formatted
         ]
-        return 0, [json.dumps(payload, indent=2)]
+        return 0, [_dumps(payload, indent=2)]
     if args.format == "text":
         lines = [f"t={args.t} b={args.b}"]
         for prof, props in formatted:
@@ -183,12 +187,15 @@ def _verify_part(args) -> tuple[int, list[str]]:
         return (0 if verdict.ok else 1), lines
     report = getattr(distribution, f"sweep_{hooks}hook_vanishing")(args.ell, args.nmax)
     lines = [f"{kind}, ell={args.ell}, residues mod {report.modulus}, n <= {args.nmax}:"]
+    suffixes = {}  # the sweep shares one Verdict among cells; format it once
     for a1, a2, v in report.cells:
-        suffix = (
-            f"counterexample at n={v.counterexample}"
-            if v.status == distribution.COUNTEREXAMPLE
-            else f"verified ({v.checked} values)"
-        )
+        suffix = suffixes.get(v)
+        if suffix is None:
+            suffix = suffixes[v] = (
+                f"counterexample at n={v.counterexample}"
+                if v.status == distribution.COUNTEREXAMPLE
+                else f"verified ({v.checked} values)"
+            )
         lines.append(f"  a1={a1} a2={a2}: {suffix}")
     lines.append(
         f"  {report.hypothesis_cells} hypothesis cells, "
@@ -317,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         code, lines = args.func(args)
         text = "\n".join(lines) + "\n"
         if args.out:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as out:
+                out.write(text)
         else:
             sys.stdout.write(text)
     except (UsageError, ValueError, OSError) as exc:

@@ -18,17 +18,22 @@ and the hook side S_m, with H_lam the product of lam's hook lengths, is
 The check compares m! g_m with m!^2 S_m, both m!^2 times the true sides;
 scaling by a positive constant keeps the first differing z-degree, which
 check_identity returns per mismatch. Only the public views build Fraction
-values. Setting z = 2 or z = 4 specializes the right side to the Euler and Jacobi series prod (1-q^n) and
-prod (1-q^n)^3, which tests compare against independent integer series.
+values, and only they import fractions, so check_identity never loads it.
+Setting z = 2 or z = 4 specializes the right side to the Euler and Jacobi
+series prod (1-q^n) and prod (1-q^n)^3, which tests compare against
+independent integer series.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, isqrt
+from typing import TYPE_CHECKING
 
 from .partitions import enumerate_partitions, hook_rows
 from .series import eta_inverse_power_series
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MMAX = 12
 
@@ -89,12 +94,16 @@ def partition_side(m: int) -> tuple[Fraction, ...]:
     Sum over partitions of m of prod over hook lengths h of (1 - z/h^2),
     lowest z-degree first. Its constant term is p(m) and its z-degree is m.
     """
+    from fractions import Fraction
+
     _check_budget(m)
     return tuple(Fraction(c, factorial(m) ** 2) for c in _scaled_partition_side(m))
 
 
 def product_side(m: int) -> tuple[Fraction, ...]:
     """Coefficient of q^m in prod_{n=1}^{m} (1 - q^n)^(z-1), lowest z-degree first."""
+    from fractions import Fraction
+
     _check_budget(m)
     return tuple(Fraction(c, factorial(m)) for c in _scaled_product_sides(m)[m])
 
@@ -121,6 +130,8 @@ def specialize(m_max: int, z: Fraction | int) -> tuple[Fraction, ...]:
     z = 2 yields the coefficients of prod (1-q^n); z = 4 those of
     prod (1-q^n)^3.
     """
+    from fractions import Fraction
+
     _check_budget(m_max)
     z = Fraction(z)
     values = []

@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,6 @@ from tcores.abacus import (
     decompose,
     default_bead_count,
     runners,
-    structure_numbers,
     t_core,
 )
 from tcores.cores import enumerate_t_cores
@@ -68,6 +68,18 @@ def _partition_of(parts):
 long_or_wide = st.one_of(
     st.lists(st.integers(1, 3), max_size=40), st.lists(st.integers(1, 30), max_size=4)
 ).map(_partition_of)
+
+
+def structure_numbers(lam: Partition, pad_to: int | None = None) -> tuple[int, ...]:
+    """B_i = lam_i - i + s for i = 1..s, with s parts after zero-padding.
+
+    With the default s = #parts, B_i is the hook length of cell (i, 1).
+    Padding by one extra zero part shifts every entry up by one and appends 0.
+    """
+    s = len(lam) if pad_to is None else pad_to
+    if s < len(lam):
+        raise ValueError(f"pad_to={s} is below the number of parts {len(lam)}")
+    return (*map(add, lam, range(s - 1, -1, -1)), *range(s - len(lam) - 1, -1, -1))
 
 
 def test_structure_numbers_examples():

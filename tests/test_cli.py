@@ -540,6 +540,26 @@ def test_cli_import_skips_dataclasses():
     assert result.stdout == "False\n"
 
 
+def test_cli_import_loads_every_module_but_no_unused_stdlib():
+    # A cold start pays for json, fractions (with decimal) and pathlib only
+    # where a command uses them. Every tcores module must still load, though:
+    # bench/trace_child.py wraps functions only in the tcores modules that
+    # `import tcores.cli` leaves in sys.modules, so a module imported lazily
+    # would read 0 calls in every span.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tcores.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('tcores.'))); "
+        "print([m for m in ('json', 'fractions', 'decimal', 'pathlib') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    modules = [f"tcores.{m}" for m in
+               ("abacus", "cli", "cores", "distribution", "nekrasov", "partitions", "series")]
+    assert result.stdout == f"{modules}\n[]\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

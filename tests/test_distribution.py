@@ -334,6 +334,49 @@ def test_first_core_table_matches_walk_on_every_cell(t):
     )
 
 
+def _grid_sweep(t, ell, n_max, core_counts):
+    # Oracle: walk all b*b cells in order and keep the hypothesis cells.
+    b, m, holds, _ = distribution._theorem(t, ell)
+    return tuple(
+        (a1, a2, _walk_cell(t, b, a1, a2, n_max, core_counts))
+        for a1 in range(b)
+        for a2 in range(b)
+        if holds(m * (a2 - t * a1) + 1)
+    )
+
+
+@pytest.mark.parametrize("counts", ["true", "ones", "sparse"])
+def test_sweep_cells_match_grid_walk(monkeypatch, counts):
+    # The sweep visits only the hypothesis cells; a stand-in c_t with
+    # nonzero counts on hypothesis classes reaches its counterexample branch.
+    rng = random.Random(16)
+    true_counts = distribution._core_count_array
+    statuses = set()
+    for t, ell in [(2, ell) for ell in (3, 5, 7, 11, 13)] + [(3, 2), (3, 5), (3, 11)]:
+        for n_max in (0, 1, 300):
+            if counts == "true":
+                core_counts = true_counts(t, n_max)
+            elif counts == "ones":
+                core_counts = [1] * (n_max + 1)
+            else:
+                core_counts = [
+                    rng.randint(1, 5) if rng.random() < 0.03 else 0
+                    for _ in range(n_max + 1)
+                ]
+            monkeypatch.setattr(
+                distribution, "_core_count_array", lambda t, n_max: core_counts
+            )
+            expected = _grid_sweep(t, ell, n_max, core_counts)
+            report = distribution._sweep(t, ell, n_max)
+            assert report.cells == expected, (t, ell, n_max)
+            assert report.values_checked == sum(v.checked for _, _, v in expected)
+            statuses.update(v.status for _, _, v in expected)
+    if counts == "true":
+        assert statuses == {VERIFIED}
+    else:
+        assert statuses == {VERIFIED, COUNTEREXAMPLE}
+
+
 def _first_nonzero_by_convolution(engine, a1, b, a2, n_max):
     for n in range(a2 % b, n_max + 1, b):
         if engine.count(a1, b, n):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,8 +8,6 @@ from tcores.partitions import (
     conjugate,
     count_t_hooks,
     enumerate_partitions,
-    hook_length,
-    hook_multiset,
     hook_rows,
     representation_dimension,
 )
@@ -16,6 +16,25 @@ from tcores.series import eta_inverse_power_series
 partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
+
+
+def hook_length(lam: Partition, i: int, j: int) -> int:
+    """Hook length h(i, j) of cell (i, j), 1-based.
+
+    h(i, j) = (arm) + (leg) + 1 = (lam_i - j) + (lam'_j - i) + 1.
+    """
+    if i < 1 or i > len(lam) or j < 1 or j > lam[i - 1]:
+        raise ValueError(f"cell ({i},{j}) is not in the diagram of {tuple(lam)}")
+    col_len = sum(1 for part in lam if part >= j)
+    return (lam[i - 1] - j) + (col_len - i) + 1
+
+
+def hook_multiset(lam: Partition) -> Counter[int]:
+    """Multiset of all hook lengths of lam; its cardinality is |lam|."""
+    counts: Counter[int] = Counter()
+    for row in hook_rows(lam):
+        counts.update(row)
+    return counts
 
 
 def test_partition_validation():
