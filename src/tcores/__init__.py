@@ -12,7 +12,7 @@ else is imported from its submodule (tcores.abacus, tcores.cores, ...).
 
 from .abacus import compose, decompose, t_core
 from .cores import c2, c3_divisor_sum, enumerate_t_cores
-from .distribution import pt_count, residue_profile
+from .distribution import formatted_proportions, pt_count, residue_profile
 from .partitions import Partition, count_t_hooks
 
 __version__ = "0.1.0"
@@ -25,6 +25,7 @@ __all__ = [
     "count_t_hooks",
     "decompose",
     "enumerate_t_cores",
+    "formatted_proportions",
     "pt_count",
     "residue_profile",
     "t_core",

@@ -27,11 +27,10 @@ from .partitions import Partition
 
 
 class CoreQuotient(NamedTuple):
-    """Image of a partition under the core/quotient bijection."""
+    """Image of a partition under the core/quotient bijection; t = len(quotient)."""
 
     core: Partition
     quotient: tuple[Partition, ...]
-    t: int
 
     @property
     def quotient_size(self) -> int:
@@ -117,15 +116,12 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     return CoreQuotient(
         core=core_from_counts(map(len, rows)),
         quotient=tuple(map(_partition_from_descending, rows)),
-        t=t,
     )
 
 
 def compose(cq: CoreQuotient) -> Partition:
     """Inverse of decompose: rebuild the partition from core and quotient."""
-    t = cq.t
-    if len(cq.quotient) != t:
-        raise ValueError(f"quotient must have {t} components, got {len(cq.quotient)}")
+    t = len(cq.quotient)
     rows = _rows(cq.core, t)
     # A t-core's runners are gap-free: their descending rows start at count - 1.
     if any(rs and rs[0] != len(rs) - 1 for rs in rows):

@@ -139,33 +139,30 @@ def cmd_table(args) -> tuple[int, list[str]]:
     if (cells := args.b * len(rows)) > TABLE_CELL_BUDGET:
         raise UsageError(f"the table has {cells} cells, over the budget of {TABLE_CELL_BUDGET}")
     engine = distribution.HookDistribution(args.t, max(rows))
-    profiles = [
-        distribution.ResidueProfile(
-            args.t, args.b, n, tuple(engine.residue_counts(args.b, n))
-        )
-        for n in rows
-    ]
-    formatted = [(prof, prof.formatted_proportions()) for prof in profiles]
+    formatted = []
+    for n in rows:
+        counts = engine.residue_counts(args.b, n)
+        formatted.append((n, counts, distribution.formatted_proportions(counts)))
     if args.format == "json":
         payload = [
             {
-                "n": prof.n,
-                "total": str(prof.total),
-                "counts": [str(prof.counts[a]) for a in residues],
+                "n": n,
+                "total": str(sum(counts)),
+                "counts": [str(counts[a]) for a in residues],
                 "proportions": [props[a] for a in residues],
             }
-            for prof, props in formatted
+            for n, counts, props in formatted
         ]
         return 0, [_dumps(payload, indent=2)]
     if args.format == "text":
         lines = [f"t={args.t} b={args.b}"]
-        for prof, props in formatted:
-            lines.append(f"n={prof.n}: " + " ".join(props[a] for a in residues))
+        for n, _, props in formatted:
+            lines.append(f"n={n}: " + " ".join(props[a] for a in residues))
         return 0, lines
     lines = ["n,a,count,proportion"]
-    for prof, props in formatted:
+    for n, counts, props in formatted:
         for a in residues:
-            lines.append(f"{prof.n},{a},{prof.counts[a]},{props[a]}")
+            lines.append(f"{n},{a},{counts[a]},{props[a]}")
     return 0, lines
 
 

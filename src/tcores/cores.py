@@ -17,7 +17,7 @@ from math import isqrt, prod
 from typing import Iterable, Iterator
 
 from .abacus import core_from_counts
-from .partitions import Partition
+from .partitions import Partition, enumerate_partitions
 from .series import sparse_product
 
 
@@ -194,6 +194,15 @@ def _runner_span(t: int, c: int, budget2: int) -> range:
 CORE_ENUMERATION_BUDGET = 20_000_000
 
 
+def _check_enumeration_budget(t: int, max_size: int) -> None:
+    entries = t * sum(ct_count_series(t, max_size))
+    if entries > CORE_ENUMERATION_BUDGET:
+        raise ValueError(
+            f"enumerating the {t}-cores of sizes <= {max_size} writes {entries} "
+            f"offsets, over the budget of {CORE_ENUMERATION_BUDGET}"
+        )
+
+
 def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (size, offsets) for every t-core of size <= max_size, once each.
 
@@ -211,12 +220,7 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
     ValueError before yielding anything when that exceeds
     CORE_ENUMERATION_BUDGET.
     """
-    entries = t * sum(ct_count_series(t, max_size))
-    if entries > CORE_ENUMERATION_BUDGET:
-        raise ValueError(
-            f"enumerating the {t}-cores of sizes <= {max_size} writes {entries} "
-            f"offsets, over the budget of {CORE_ENUMERATION_BUDGET}"
-        )
+    _check_enumeration_budget(t, max_size)
     target2 = 2 * max_size
     offsets = [0] * t
     # (runner, its remaining offsets, 2*size and offset sum of runners above)
@@ -335,10 +339,15 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     """All t-core partitions of n, in reverse-lexicographic order.
 
     Each runner offset vector of size n decodes to one core; the cost is
-    bounded by CORE_ENUMERATION_BUDGET (see _runner_offset_vectors).
+    bounded by CORE_ENUMERATION_BUDGET (see _runner_offset_vectors). For
+    t > n no hook reaches length t, so every partition of n is a t-core and
+    no runner is walked; the budget still refuses at the same edge.
     """
     if n < 0 or t < 2:
         raise ValueError(f"need n >= 0 and t >= 2, got n={n}, t={t}")
+    if t > n:
+        _check_enumeration_budget(t, n)
+        return list(enumerate_partitions(n))
     cores = []
     for size, offs in _runner_offset_vectors(t, n):
         if size == n:

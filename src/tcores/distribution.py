@@ -28,7 +28,7 @@ O(b + n_max + hypothesis cells).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import cores
 from .partitions import count_t_hooks, enumerate_partitions
@@ -36,13 +36,13 @@ from .series import eta_inverse_power_series
 
 __all__ = [
     "HookDistribution",
-    "ResidueProfile",
     "Verdict",
     "SweepReport",
     "pt_count",
     "residue_profile",
     "brute_force_profile",
     "format_proportion",
+    "formatted_proportions",
     "verify_2hook_vanishing",
     "verify_3hook_vanishing",
     "sweep_2hook_vanishing",
@@ -139,35 +139,22 @@ def format_proportion(count: int, total: int) -> str:
     return f"{q // scale}.{q % scale:0{PROPORTION_PLACES}d}"
 
 
-class ResidueProfile(NamedTuple):
-    """The b residue-class counts of partitions of n by t-hook count."""
-
-    t: int
-    b: int
-    n: int
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        """p(n): every partition lands in exactly one residue class."""
-        return sum(self.counts)
-
-    def formatted_proportions(self) -> tuple[str, ...]:
-        total = self.total
-        return tuple(format_proportion(c, total) for c in self.counts)
+def formatted_proportions(counts: Sequence[int]) -> tuple[str, ...]:
+    """Each count over their sum, p(n) for a residue profile, formatted."""
+    total = sum(counts)
+    return tuple(format_proportion(c, total) for c in counts)
 
 
-def residue_profile(t: int, b: int, n: int) -> ResidueProfile:
-    """All b counts p_t(0, b; n), ..., p_t(b-1, b; n).
+def residue_profile(t: int, b: int, n: int) -> tuple[int, ...]:
+    """All b counts p_t(0, b; n), ..., p_t(b-1, b; n); they sum to p(n).
 
     Builds the series for this n on each call; for many n, build one
     HookDistribution(t, n_max) yourself and call its residue_counts.
     """
-    counts = HookDistribution(t, n).residue_counts(b, n)
-    return ResidueProfile(t=t, b=b, n=n, counts=tuple(counts))
+    return tuple(HookDistribution(t, n).residue_counts(b, n))
 
 
-def brute_force_profile(t: int, b: int, n: int) -> ResidueProfile:
+def brute_force_profile(t: int, b: int, n: int) -> tuple[int, ...]:
     """Oracle twin of residue_profile: enumerate partitions and bucket them.
 
     Refuses n > BRUTE_FORCE_GUARD, since the enumeration is exponential.
@@ -179,7 +166,7 @@ def brute_force_profile(t: int, b: int, n: int) -> ResidueProfile:
     counts = [0] * b
     for lam in enumerate_partitions(n):
         counts[count_t_hooks(lam, t) % b] += 1
-    return ResidueProfile(t=t, b=b, n=n, counts=tuple(counts))
+    return tuple(counts)
 
 
 class Verdict(NamedTuple):
@@ -197,8 +184,8 @@ class Verdict(NamedTuple):
 
 # Most (a1, a2) grid cells, modulus^2, that one sweep may cover. The report
 # keeps a verdict per hypothesis cell, half the grid for part 1: part1 --ell
-# 997 took about 1.2 s and 110 MB in a fresh process on a 2.0 GHz Xeon, at
-# any n_max up to NMAX_BUDGET. part2 --ell 23 has 279,841.
+# 997 took about 1.1 s and 110 MB in a fresh process on a 2.0 GHz Xeon, and
+# about 1.3 s at n_max = NMAX_BUDGET. part2 --ell 23 has 279,841.
 SWEEP_CELL_BUDGET = 1_000_000
 
 
@@ -269,30 +256,24 @@ def verify_3hook_vanishing(ell: int, a1: int, a2: int, n_max: int) -> Verdict:
 
 
 class SweepReport(NamedTuple):
-    """Verdicts for the hypothesis cells (a1, a2) of one modulus, in order."""
+    """Verdicts for the hypothesis cells (a1, a2) of one modulus, in order.
+
+    values_checked sums the cells' checked counts, and counterexamples lists
+    (a1, a2, n) for each refuted cell; the sweep counts both as it goes.
+    """
 
     modulus: int
     cells: tuple[tuple[int, int, Verdict], ...]
+    values_checked: int
+    counterexamples: tuple[tuple[int, int, int], ...]
 
     @property
     def ok(self) -> bool:
-        return all(v.ok for _, _, v in self.cells)
-
-    @property
-    def counterexamples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(
-            (a1, a2, v.counterexample)
-            for a1, a2, v in self.cells
-            if v.status == COUNTEREXAMPLE
-        )
+        return not self.counterexamples
 
     @property
     def hypothesis_cells(self) -> int:
         return len(self.cells)
-
-    @property
-    def values_checked(self) -> int:
-        return sum(v.checked for _, _, v in self.cells)
 
 
 def _sweep(t: int, ell: int, n_max: int) -> SweepReport:
@@ -305,6 +286,8 @@ def _sweep(t: int, ell: int, n_max: int) -> SweepReport:
     # A class with no core <= n_max verifies every a1: one shared verdict per a2.
     verified = [_check_cell(t, b, 0, a2, n_max, {}) for a2 in range(b)]
     cells = []
+    values_checked = 0
+    counterexamples = []
     for a1 in range(b):
         # a2 = r + s mod b; starting at the first r >= b - s keeps a2 ascending
         s = t * a1 % b
@@ -313,10 +296,13 @@ def _sweep(t: int, ell: int, n_max: int) -> SweepReport:
             a2 = (r + s) % b
             if r in first:
                 verdict = _check_cell(t, b, a1, a2, n_max, first)
+                if verdict.counterexample is not None:
+                    counterexamples.append((a1, a2, verdict.counterexample))
             else:
                 verdict = verified[a2]
+            values_checked += verdict.checked
             cells.append((a1, a2, verdict))
-    return SweepReport(modulus=b, cells=tuple(cells))
+    return SweepReport(b, tuple(cells), values_checked, tuple(counterexamples))
 
 
 def sweep_2hook_vanishing(ell: int, n_max: int) -> SweepReport:

@@ -92,7 +92,7 @@ def test_criterion_4_oracle_equivalence(capsys):
             for n in range(26):
                 fast = residue_profile(t, b, n)
                 slow = brute_force_profile(t, b, n)
-                assert fast.counts == slow.counts, f"t={t} b={b} n={n}"
+                assert fast == slow, f"t={t} b={b} n={n}"
     with capsys.disabled():
         print("criterion 4 (generating function = brute force, n <= 25): PASS")
 

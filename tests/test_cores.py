@@ -4,6 +4,7 @@ from operator import add
 import pytest
 
 from tcores import cores, distribution
+from tcores.abacus import core_from_counts
 from tcores.cores import (
     c2,
     c3_divisor_sum,
@@ -274,6 +275,34 @@ def test_enumeration_budget(monkeypatch):
         enumerate_t_cores(20, 4)
     # the count no longer enumerates
     assert tuple(count_t_cores_up_to(4, 20)) == ct_count_series(4, 20)
+
+
+def _decoded_runner_walk(n, t):
+    # every offset vector of size n, decoded to its core, as a sorted list
+    found = [
+        core_from_counts(x - min(offs) for x in offs)
+        for size, offs in cores._runner_offset_vectors(t, n)
+        if size == n
+    ]
+    return sorted(found, reverse=True)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_for_t_above_n_matches_runner_walk(n):
+    # for t > n every partition of n is a t-core, listed without runners
+    for t in (n + 1, n + 2, 2 * n + 3, 40):
+        if t >= 2:  # at n = 0, t = n + 1 is below every modulus
+            assert enumerate_t_cores(n, t) == _decoded_runner_walk(n, t), t
+
+
+def test_enumeration_budget_for_t_above_n(monkeypatch):
+    # the shortcut for t > n keeps the budget's edge
+    entries = 12 * sum(ct_count_series(12, 10))
+    monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries)
+    assert enumerate_t_cores(10, 12) == list(enumerate_partitions(10))
+    monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries - 1)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_t_cores(10, 12)
 
 
 def test_count_budget_boundary(monkeypatch):

@@ -10,6 +10,7 @@ from tcores.distribution import (
     HookDistribution,
     brute_force_profile,
     format_proportion,
+    formatted_proportions,
     pt_count,
     residue_profile,
     sweep_2hook_vanishing,
@@ -142,9 +143,9 @@ def test_residue_counts_sum_to_partition_count():
     for t, b in ((2, 3), (3, 5), (4, 4)):
         for n in (0, 1, 7, 30, 60):
             prof = residue_profile(t, b, n)
-            assert prof.total == ps[n]
-            assert all(c >= 0 for c in prof.counts)
-            assert len(prof.counts) == b
+            assert sum(prof) == ps[n]
+            assert all(c >= 0 for c in prof)
+            assert len(prof) == b
 
 
 def test_profile_matches_brute_force():
@@ -153,14 +154,14 @@ def test_profile_matches_brute_force():
             for n in range(19):
                 fast = residue_profile(t, b, n)
                 slow = brute_force_profile(t, b, n)
-                assert fast.counts == slow.counts
+                assert fast == slow
 
 
 def test_brute_force_guard(monkeypatch):
     with pytest.raises(ValueError, match="guard"):
         brute_force_profile(2, 3, distribution.BRUTE_FORCE_GUARD + 1)
     monkeypatch.setattr(distribution, "BRUTE_FORCE_GUARD", 6)
-    assert brute_force_profile(2, 2, 6).counts == residue_profile(2, 2, 6).counts
+    assert brute_force_profile(2, 2, 6) == residue_profile(2, 2, 6)
     with pytest.raises(ValueError, match="guard"):
         brute_force_profile(2, 2, 7)
 
@@ -173,12 +174,11 @@ def test_larger_engine_keeps_lower_counts():
         for b in (2, 3, 7):
             for n in (0, 1, 29, 150, 300):
                 profile = residue_profile(t, b, n)
-                assert engine.residue_counts(b, n) == list(profile.counts)
+                assert engine.residue_counts(b, n) == list(profile)
 
 
 def test_brute_force_smallest_3hook_vanishing_case():
-    prof = brute_force_profile(3, 25, 26)
-    assert prof.counts[1] == 0
+    assert brute_force_profile(3, 25, 26)[1] == 0
 
 
 def test_engine_validation():
@@ -201,6 +201,16 @@ def test_format_proportion_half_even():
     assert format_proportion(3, 20000) == "0.0002"
     with pytest.raises(ValueError):
         format_proportion(1, 0)
+
+
+def test_formatted_proportions():
+    # the published n = 300 row of 2-hook counts mod 3
+    assert formatted_proportions(residue_profile(2, 3, 300)) == (
+        "0.7347", "0.2653", "0.0000",
+    )
+    assert formatted_proportions((1, 2)) == ("0.3333", "0.6667")
+    with pytest.raises(ValueError):
+        formatted_proportions((0, 0))
 
 
 def test_verify_2hook_examples():
@@ -370,6 +380,12 @@ def test_sweep_cells_match_grid_walk(monkeypatch, counts):
             report = distribution._sweep(t, ell, n_max)
             assert report.cells == expected, (t, ell, n_max)
             assert report.values_checked == sum(v.checked for _, _, v in expected)
+            assert report.counterexamples == tuple(
+                (a1, a2, v.counterexample)
+                for a1, a2, v in expected
+                if v.status == COUNTEREXAMPLE
+            )
+            assert report.ok == (not report.counterexamples)
             statuses.update(v.status for _, _, v in expected)
     if counts == "true":
         assert statuses == {VERIFIED}
@@ -417,7 +433,12 @@ def test_structural_check_matches_convolution_on_every_cell(
         assert vanishing == [(a1, a2) for a1, a2, _ in hypothesis], ell
         # the report holds what the sweep computed and nothing it was given
         report = sweep(ell, n_max)
-        assert report == (b, tuple(hypothesis))
+        assert report == (
+            b,
+            tuple(hypothesis),
+            sum(v.checked for _, _, v in hypothesis),
+            (),
+        )
         assert report.hypothesis_cells == len(hypothesis)
 
 
