@@ -23,10 +23,6 @@ DEFAULT_TABLE_ROWS = (300, 600, 900, 4500, 4800, 5100)
 TABLE_CELL_BUDGET = 1_000_000
 
 
-class UsageError(Exception):
-    pass
-
-
 def _dumps(payload, **kwargs) -> str:
     import json  # loaded only for a --format json payload
 
@@ -55,13 +51,13 @@ def cmd_hooks(args) -> tuple[int, list[str]]:
     lam = args.partition
     ts = args.t or []
     if lam.size > partitions.HOOK_CELL_BUDGET:
-        raise UsageError(
+        raise ValueError(
             f"the hook grid has {lam.size} cells, over the budget of "
             f"{partitions.HOOK_CELL_BUDGET}"
         )
     for t in ts:
         if t < 2:
-            raise UsageError(f"t must be at least 2, got {t}")
+            raise ValueError(f"t must be at least 2, got {t}")
     rows = hook_rows(lam)
     lengths = sorted(h for row in rows for h in row)
     t_hooks = [(t, sum(1 for h in lengths if h % t == 0)) for t in ts]
@@ -132,12 +128,12 @@ def cmd_cores_count(args) -> tuple[int, list[str]]:
 def cmd_table(args) -> tuple[int, list[str]]:
     rows = args.n if args.n is not None else DEFAULT_TABLE_ROWS
     if args.a is not None and not 0 <= args.a < args.b:
-        raise UsageError(f"--a must lie in 0..{args.b - 1}")
+        raise ValueError(f"--a must lie in 0..{args.b - 1}")
     if args.b < 1:
-        raise UsageError(f"modulus b must be at least 1, got {args.b}")
+        raise ValueError(f"modulus b must be at least 1, got {args.b}")
     residues = range(args.b) if args.a is None else (args.a,)
     if (cells := args.b * len(rows)) > TABLE_CELL_BUDGET:
-        raise UsageError(f"the table has {cells} cells, over the budget of {TABLE_CELL_BUDGET}")
+        raise ValueError(f"the table has {cells} cells, over the budget of {TABLE_CELL_BUDGET}")
     engine = distribution.HookDistribution(args.t, max(rows))
     formatted = []
     for n in rows:
@@ -168,7 +164,7 @@ def cmd_table(args) -> tuple[int, list[str]]:
 
 def _verify_part(args) -> tuple[int, list[str]]:
     if (args.a1 is None) != (args.a2 is None):
-        raise UsageError("--a1 and --a2 must be given together")
+        raise ValueError("--a1 and --a2 must be given together")
     hooks = 2 if args.target == "part1" else 3
     kind = f"{hooks}-hook vanishing"
     if args.a1 is not None:
@@ -325,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
                 out.write(text)
         else:
             sys.stdout.write(text)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

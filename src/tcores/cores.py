@@ -1,11 +1,11 @@
 """Counting t-core partitions.
 
-Closed forms for t = 2 (triangular-number test on 8n+1) and t = 3 (a divisor
-sum over 3n+1 driven by the residue of each divisor mod 3, per n or sieved
-for every n up to a bound), a positive definite quadratic-form count
-equivalent to the t = 3 case, and two generic routes — the product
-generating function and the runner theta-sum DP — that work for every t and
-serve as cross-checks; count_t_cores returns a plain int.
+Closed forms for t = 2 (triangular-number test on 8n+1) and t = 3 (the sum
+of (d/3) over the divisors d of 3n+1, per n as a product over the prime
+powers of 3n+1, or sieved for every n up to a bound), a positive definite
+quadratic-form count equivalent to the t = 3 case, and two generic routes —
+the product generating function and the runner theta-sum DP — that work for
+every t and serve as cross-checks; count_t_cores returns a plain int.
 enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
 test oracle.
 """
@@ -18,36 +18,42 @@ from typing import Iterable, Iterator
 
 from .abacus import core_from_counts
 from .partitions import Partition, enumerate_partitions
-from .series import sparse_product
+from .series import eta_inverse_power_series, sparse_product
 
 
-# Largest n for trial division (up to sqrt(n) steps) in is_prime(n) and on 3n+1
-# in c3_divisor_sum: at 10^12 these took 0.08 s and 0.16 s on a 2.1 GHz Xeon.
+# Largest n that _factor trial-divides, for is_prime(n) and for 3n+1 in
+# c3_divisor_sum. The worst case is a prime near 10^12, whose odd trial
+# divisors run to its square root: is_prime(999_999_999_989) and
+# c3_divisor_sum(333_333_000_000) took about 0.05 s each on a 2.1 GHz Xeon.
 TRIAL_DIVISION_LIMIT = 10**12
 
 
-def _check_trial_division(n: int) -> None:
+def _factor(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p ascending.
+
+    One trial-division pass, refused above TRIAL_DIVISION_LIMIT: 2 by bit
+    count, then odd p up to the square root of the cofactor, left 1 or prime.
+    """
     if n > TRIAL_DIVISION_LIMIT:
-        raise ValueError(
-            f"trial division of {n} is over the limit of {TRIAL_DIVISION_LIMIT}"
-        )
+        raise ValueError(f"trial division of {n} is over the limit of {TRIAL_DIVISION_LIMIT}")
+    twos = (n & -n).bit_length() - 1
+    factors = [(2, twos)] if twos else []
+    n >>= twos
+    p, limit = 3, isqrt(n)
+    while p <= limit:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            factors.append((p, e))
+            limit = isqrt(n)
+        p += 2
+    return factors + [(n, 1)] if n > 1 else factors
 
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; raises ValueError above TRIAL_DIVISION_LIMIT."""
-    _check_trial_division(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _factor(n) == [(n, 1)]
 
 
 def c2(n: int) -> int:
@@ -61,29 +67,17 @@ def c2(n: int) -> int:
     return 1 if isqrt(m) ** 2 == m else 0
 
 
-def _divisors(n: int) -> list[int]:
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-        d += 1
-    return divs
-
-
 def c3_divisor_sum(n: int) -> int:
     """Number of 3-cores of n: sum of (d/3) over divisors d of 3n+1.
 
-    Since 3 never divides a divisor of 3n+1, (d/3) is +1 for d = 1 mod 3 and
-    -1 for d = 2 mod 3; a residue lookup replaces Euler's criterion here.
+    (d/3) is completely multiplicative and 3 never divides 3n+1, so the sum
+    is the product over p^e || 3n+1 of 1 + (p/3) + ... + (p/3)^e: e + 1 for
+    p = 1 mod 3, and for p = 2 mod 3, 1 if e is even and 0 if it is odd.
     Raises ValueError when 3n+1 is above TRIAL_DIVISION_LIMIT.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    _check_trial_division(3 * n + 1)
-    return sum(1 if d % 3 == 1 else -1 for d in _divisors(3 * n + 1))
+    return prod(e + 1 if p % 3 == 1 else 1 - e % 2 for p, e in _factor(3 * n + 1))
 
 
 def c3_divisor_sums(n_max: int) -> list[int]:
@@ -188,19 +182,26 @@ def _runner_span(t: int, c: int, budget2: int) -> range:
     return range(-((root + d) // (2 * t)), (root - d) // (2 * t) + 1)
 
 
-# Most offset entries (t times the t-cores of size <= max_size) that one
-# enumeration may write. At about 0.25 us per entry on a 2.1 GHz Xeon (under
-# 2 us per 7-core), the budget caps one call at about 5 s.
+# Most entries that one enumeration may write: t offsets per t-core of size
+# <= max_size, or for t > n up to n p(n) parts of the partitions of n. Either
+# caps a call near 5 s on a 2.1 GHz Xeon: 0.25 us an offset, and n = 53, the
+# largest n listed, took about 3.3 s with the CLI's output.
 CORE_ENUMERATION_BUDGET = 20_000_000
 
 
-def _check_enumeration_budget(t: int, max_size: int) -> None:
-    entries = t * sum(ct_count_series(t, max_size))
-    if entries > CORE_ENUMERATION_BUDGET:
-        raise ValueError(
-            f"enumerating the {t}-cores of sizes <= {max_size} writes {entries} "
-            f"offsets, over the budget of {CORE_ENUMERATION_BUDGET}"
-        )
+def _check_listing_budget(n: int) -> None:
+    """Refuse to list the partitions of n, up to n p(n) parts, over the budget.
+
+    k p(k) grows with k, so reading p(k) at k = 0, 1, 3, 7, ... capped at n
+    refuses a large n at the first k over CORE_ENUMERATION_BUDGET.
+    """
+    k = 0
+    while (parts := k * eta_inverse_power_series(1, k)[k]) <= CORE_ENUMERATION_BUDGET:
+        if k == n:
+            return
+        k = min(2 * k + 1, n)
+    raise ValueError(f"listing the partitions of {n} writes up to n*p(n) parts "
+                     f"({parts} at k={k}), over the budget of {CORE_ENUMERATION_BUDGET}")
 
 
 def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -220,7 +221,9 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
     ValueError before yielding anything when that exceeds
     CORE_ENUMERATION_BUDGET.
     """
-    _check_enumeration_budget(t, max_size)
+    if (entries := t * sum(ct_count_series(t, max_size))) > CORE_ENUMERATION_BUDGET:
+        raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes {entries} "
+                         f"offsets, over the budget of {CORE_ENUMERATION_BUDGET}")
     target2 = 2 * max_size
     offsets = [0] * t
     # (runner, its remaining offsets, 2*size and offset sum of runners above)
@@ -341,12 +344,12 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     Each runner offset vector of size n decodes to one core; the cost is
     bounded by CORE_ENUMERATION_BUDGET (see _runner_offset_vectors). For
     t > n no hook reaches length t, so every partition of n is a t-core and
-    no runner is walked; the budget still refuses at the same edge.
+    no runner is walked; the budget is charged n p(n) listed parts instead.
     """
     if n < 0 or t < 2:
         raise ValueError(f"need n >= 0 and t >= 2, got n={n}, t={t}")
     if t > n:
-        _check_enumeration_budget(t, n)
+        _check_listing_budget(n)
         return list(enumerate_partitions(n))
     cores = []
     for size, offs in _runner_offset_vectors(t, n):

@@ -138,6 +138,19 @@ def test_cores_count_witnesses_many_runners(capsys):
     assert out.splitlines() == ["c_1500(2) = 2", "  2", "  1,1"]
 
 
+def test_cores_count_witnesses_for_t_above_n(capsys):
+    # one empty partition costs no parts, however large t is
+    code, out = run(capsys, "cores-count", "--n", "0", "--t", "20000001", "--witnesses")
+    assert code == 0
+    assert out == "c_20000001(0) = 1\n  -\n"
+    # n p(n) parts exceed the budget from n = 54 on: refused before p(100000)
+    code = cli.main(["cores-count", "--n", "100000", "--t", "100001", "--witnesses"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
 def test_cores_count_witnesses_over_budget(capsys):
     code = cli.main(["cores-count", "--n", "500", "--t", "7", "--witnesses"])
     captured = capsys.readouterr()

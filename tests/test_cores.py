@@ -19,11 +19,38 @@ from tcores.cores import (
     verify_core_formulas,
 )
 from tcores.partitions import count_t_hooks, enumerate_partitions
+from tcores.series import eta_inverse_power_series
 
 
 def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     assert [n for n in range(25) if is_prime(n)] == primes
+
+
+def _sieve(n_max):
+    prime = [False, False] + [True] * (n_max - 1)
+    for p in range(2, isqrt(n_max) + 1):
+        if prime[p]:
+            prime[p * p :: p] = [False] * len(prime[p * p :: p])
+    return prime
+
+
+def test_factor_matches_brute_force():
+    # distinct sieve primes, ascending, whose powers multiply to n: by unique
+    # factorization, these are n's prime powers
+    prime = _sieve(10**4)
+    for n in range(1, 10**4 + 1):
+        factors = cores._factor(n)
+        assert prod(p**e for p, e in factors) == n, n
+        ps = [p for p, _ in factors]
+        assert ps == sorted(set(ps)), n
+        assert all(prime[p] and e >= 1 for p, e in factors), n
+
+
+def test_is_prime_matches_sieve():
+    prime = _sieve(10**4)
+    for n in range(-3, 10**4 + 1):
+        assert is_prime(n) == (n >= 0 and prime[n]), n
 
 
 def test_legendre_matches_square_table():
@@ -50,6 +77,16 @@ def test_c3_divisor_sum_examples():
     assert c3_divisor_sum(1) == 1
     assert c3_divisor_sum(0) == 1
     assert c3_divisor_sum(2) == 2
+    assert c3_divisor_sum(5) == 1  # 3n+1 = 16 = 2^4, a square
+    assert c3_divisor_sum(3) == 0  # 3n+1 = 10 = 2 * 5
+    # 3n+1 = 999,999,000,001 is a prime = 1 mod 3: the worst case of the
+    # trial division, which runs to its square root
+    assert is_prime(999_999_000_001) and 999_999_000_001 % 3 == 1
+    assert c3_divisor_sum(333_333_000_000) == 2
+
+
+def test_c3_divisor_sum_matches_sieve():
+    assert [c3_divisor_sum(n) for n in range(10**4 + 1)] == c3_divisor_sums(10**4)
 
 
 def test_c3_qf_count_examples():
@@ -103,12 +140,15 @@ def test_trial_division_limit():
     assert 3 * 333_333_333_333 + 1 == limit
     assert c3_divisor_sum(333_333_333_333) == 1  # 10^12 = 2^12 * 5^12
     assert not is_prime(limit)
-    for call in (
-        lambda: c3_divisor_sum(333_333_333_334),
-        lambda: is_prime(limit + 1),
+    for call, number in (
+        (lambda: c3_divisor_sum(333_333_333_334), limit + 3),
+        (lambda: is_prime(limit + 1), limit + 1),
+        (lambda: cores._factor(limit + 1), limit + 1),
     ):
-        with pytest.raises(ValueError, match="over the limit"):
+        message = f"trial division of {number} is over the limit of {limit}"
+        with pytest.raises(ValueError) as exc:
             call()
+        assert str(exc.value) == message
 
 
 def test_c3_routes_agree():
@@ -296,13 +336,32 @@ def test_enumeration_for_t_above_n_matches_runner_walk(n):
 
 
 def test_enumeration_budget_for_t_above_n(monkeypatch):
-    # the shortcut for t > n keeps the budget's edge
-    entries = 12 * sum(ct_count_series(12, 10))
+    # the shortcut for t > n is charged n p(n) listed parts, whatever t is
+    entries = 10 * 42  # 10 p(10)
     monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries)
     assert enumerate_t_cores(10, 12) == list(enumerate_partitions(10))
+    assert enumerate_t_cores(10, 10**9) == list(enumerate_partitions(10))
+    assert enumerate_t_cores(0, 10**9) == [()]
     monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries - 1)
     with pytest.raises(ValueError, match="budget"):
         enumerate_t_cores(10, 12)
+
+
+def test_listing_budget_edge_without_p_of_n(monkeypatch):
+    # 53 p(53) = 17,486,343 fits the budget, 54 p(54) = 20,852,370 does not
+    cores._check_listing_budget(53)
+    with pytest.raises(ValueError, match="budget"):
+        cores._check_listing_budget(54)
+    sizes = []
+
+    def recording(t, truncation):
+        sizes.append(truncation)
+        return eta_inverse_power_series(t, truncation)
+
+    monkeypatch.setattr(cores, "eta_inverse_power_series", recording)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_t_cores(100_000, 100_001)
+    assert max(sizes) < 100  # p(k) only to the first k over the budget
 
 
 def test_count_budget_boundary(monkeypatch):
