@@ -23,7 +23,10 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, _unchecked
+
+
+_EMPTY = Partition()
 
 
 class CoreQuotient(NamedTuple):
@@ -82,21 +85,31 @@ def runners(lam: Partition, t: int) -> tuple[tuple[int, ...], ...]:
 def core_from_counts(counts: Iterable[int]) -> Partition:
     """The t-core whose runner c holds counts[c] beads in its top rows."""
     counts = tuple(counts)
-    if min(counts, default=0) < 0:
+    low = min(counts, default=0)
+    if low < 0:
         raise ValueError(f"bead counts must be non-negative, got {counts}")
+    # Dropping row 0 of every runner (t beads, one shift of the padding)
+    # leaves the core unchanged, so every count is first lowered by low.
     t = len(counts)
-    values = [b for c, a in enumerate(counts) for b in range(c, c + t * a, t)]
-    return _partition_from_descending(sorted(values, reverse=True))
+    values = [b for c, a in enumerate(counts) for b in range(c, c + t * (a - low), t)]
+    values.sort(reverse=True)
+    return _partition_from_descending(values)
 
 
 def _partition_from_descending(values: Sequence[int]) -> Partition:
-    # The i-th largest of s structure numbers B is the part B + i - s.
-    shifts = enumerate(values, 1 - len(values))
-    return Partition([p for i, b in shifts if (p := b + i) > 0])
+    # The i-th largest of s distinct structure numbers B >= 0 is the part
+    # B + i - s >= 0, non-increasing in i, so dropping the zeros leaves a
+    # valid partition. Gap-free beads, the top one at B = s - 1, are empty.
+    s = len(values)
+    if not s or values[0] == s - 1:
+        return _EMPTY
+    return _unchecked(filter(None, map(add, values, range(1 - s, 1))))
 
 
 def t_core(lam: Partition, t: int) -> Partition:
     """The unique t-core obtained by removing rim t-hooks until none remain."""
+    if type(lam) is not Partition:
+        lam = Partition(lam)
     if t > max(lam.size, 1):  # t >= 2 and no hook of lam reaches length t
         return lam
     padding, values = _beads(lam, t)
@@ -112,6 +125,8 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     The total quotient size equals the number of t-hooks of lam, and
     |lam| = |core| + t * (total quotient size).
     """
+    if type(lam) is not Partition:
+        lam = Partition(lam)
     rows = _rows(lam, t)
     return CoreQuotient(
         core=core_from_counts(map(len, rows)),
@@ -121,18 +136,22 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
 
 def compose(cq: CoreQuotient) -> Partition:
     """Inverse of decompose: rebuild the partition from core and quotient."""
-    t = len(cq.quotient)
-    rows = _rows(cq.core, t)
+    core, quotient = cq
+    if type(core) is not Partition:
+        core = Partition(core)
+    quotient = [comp if type(comp) is Partition else Partition(comp) for comp in quotient]
+    t = len(quotient)
+    rows = _rows(core, t)
     # A t-core's runners are gap-free: their descending rows start at count - 1.
     if any(rs and rs[0] != len(rs) - 1 for rs in rows):
-        raise ValueError(f"core {tuple(cq.core)} has a {t}-hook")
+        raise ValueError(f"core {tuple(core)} has a {t}-hook")
     # t more zero parts put one more bead atop every runner: add them until
     # runner c can hold comp's structure numbers, padded to counts[c] parts.
-    extra = max(0, max(len(comp) - len(rs) for comp, rs in zip(cq.quotient, rows)))
+    extra = max(0, max(len(comp) - len(rs) for comp, rs in zip(quotient, rows)))
     counts = [len(rs) + extra for rs in rows]
     values = [
         t * r + c
-        for c, (comp, a) in enumerate(zip(cq.quotient, counts))
+        for c, (comp, a) in enumerate(zip(quotient, counts))
         for r in chain(map(add, comp, range(a - 1, -1, -1)), range(a - len(comp)))
     ]
     return _partition_from_descending(sorted(values, reverse=True))

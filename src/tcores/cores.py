@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import isqrt, prod
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .abacus import core_from_counts
 from .partitions import Partition, enumerate_partitions
@@ -165,13 +165,17 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
+    _check_series_budget(t, truncation)
+    return sparse_product([(t, t), (1, -1)], truncation)
+
+
+def _check_series_budget(t: int, truncation: int) -> None:
     updates = _series_updates(t, truncation)
     if updates > SERIES_UPDATE_BUDGET:
         raise ValueError(
             f"the c_{t} series to n={truncation} makes up to {updates} coefficient "
             f"updates, over the budget of {SERIES_UPDATE_BUDGET}"
         )
-    return sparse_product([(t, t), (1, -1)], truncation)
 
 
 def _runner_span(t: int, c: int, budget2: int) -> range:
@@ -189,19 +193,27 @@ def _runner_span(t: int, c: int, budget2: int) -> range:
 CORE_ENUMERATION_BUDGET = 20_000_000
 
 
-def _check_listing_budget(n: int) -> None:
-    """Refuse to list the partitions of n, up to n p(n) parts, over the budget.
+def _first_over_budget(n: int, charge: Callable[[int], int]) -> tuple[int, int] | None:
+    """(k, charge(k)) at the first k of 0, 1, 3, 7, ... capped at n whose
+    charge exceeds CORE_ENUMERATION_BUDGET, or None when charge(n) fits.
 
-    k p(k) grows with k, so reading p(k) at k = 0, 1, 3, 7, ... capped at n
-    refuses a large n at the first k over CORE_ENUMERATION_BUDGET.
+    For a charge that grows with k this refuses exactly when charge(n) would,
+    and a large n is refused without computing charge(n).
     """
     k = 0
-    while (parts := k * eta_inverse_power_series(1, k)[k]) <= CORE_ENUMERATION_BUDGET:
+    while (cost := charge(k)) <= CORE_ENUMERATION_BUDGET:
         if k == n:
-            return
+            return None
         k = min(2 * k + 1, n)
-    raise ValueError(f"listing the partitions of {n} writes up to n*p(n) parts "
-                     f"({parts} at k={k}), over the budget of {CORE_ENUMERATION_BUDGET}")
+    return k, cost
+
+
+def _check_listing_budget(n: int) -> None:
+    """Refuse to list the partitions of n, up to n p(n) parts, over the budget."""
+    if over := _first_over_budget(n, lambda k: k * eta_inverse_power_series(1, k)[k]):
+        k, parts = over
+        raise ValueError(f"listing the partitions of {n} writes up to n*p(n) parts "
+                         f"({parts} at k={k}), over the budget of {CORE_ENUMERATION_BUDGET}")
 
 
 def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -219,11 +231,16 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
     walks runners t-1 down to 1; runner 0's offset is fixed by the zero sum.
     The cost is proportional to t times the number of cores found; raises
     ValueError before yielding anything when that exceeds
-    CORE_ENUMERATION_BUDGET.
+    CORE_ENUMERATION_BUDGET, reading the c_t series only up to the first
+    probed size over it, or when the c_t series to max_size is itself over
+    SERIES_UPDATE_BUDGET (checked first, with no work).
     """
-    if (entries := t * sum(ct_count_series(t, max_size))) > CORE_ENUMERATION_BUDGET:
-        raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes {entries} "
-                         f"offsets, over the budget of {CORE_ENUMERATION_BUDGET}")
+    _check_series_budget(t, max_size)
+    if over := _first_over_budget(max_size, lambda k: t * sum(ct_count_series(t, k))):
+        k, entries = over
+        raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes at least "
+                         f"{entries} offsets (sizes <= {k}), over the budget of "
+                         f"{CORE_ENUMERATION_BUDGET}")
     target2 = 2 * max_size
     offsets = [0] * t
     # (runner, its remaining offsets, 2*size and offset sum of runners above)

@@ -6,6 +6,7 @@ are non-increasing, and the empty partition is the unique partition of 0.
 
 from __future__ import annotations
 
+from functools import partial
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -38,6 +39,11 @@ class Partition(tuple):
         return f"Partition({', '.join(map(str, self))})"
 
 
+# Partition(parts) without the per-part check, for parts that the code
+# building them makes valid: enumeration, conjugation and the abacus decoder.
+_unchecked = partial(tuple.__new__, Partition)
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
@@ -51,7 +57,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         return
     parts = [n]
     while True:
-        yield Partition(parts)
+        yield _unchecked(parts)
         # Strip trailing ones, then decrement the rightmost part above 1 and
         # redistribute the freed units greedily.
         i = len(parts) - 1
@@ -73,11 +79,13 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Ferrers-Young diagram (column lengths become parts)."""
+    if type(lam) is not Partition:
+        lam = Partition(lam)
     # Column j has length #{parts >= j}, which is i for lam_{i+1} < j <= lam_i.
     cols: list[int] = []
     for i in range(len(lam), 0, -1):
         cols += [i] * (lam[i - 1] - (lam[i] if i < len(lam) else 0))
-    return Partition(cols)
+    return _unchecked(cols)
 
 
 # Most cells `tcores hooks` lays out. hook_rows keeps one entry per cell:

@@ -387,3 +387,61 @@ def test_compose_refusals(cq, message):
 @given(long_or_wide, st.integers(2, 11))
 def test_count_t_hooks_matches_hook_rows(lam, t):
     assert count_t_hooks(lam, t) == sum(h % t == 0 for row in hook_rows(lam) for h in row)
+
+
+# The decoder builds partitions without Partition's per-part check. Every
+# output must still pass that check, and agree with the bead-view oracle.
+def _assert_valid(x):
+    assert type(x) is Partition
+    assert Partition(list(x)) == x
+
+
+def _check_built_outputs(lam, t):
+    beta = beta_set(lam, default_bead_count(len(lam), t))
+    cq = decompose(lam, t)
+    assert cq.core == beta_decode(beta_core(beta, t))
+    assert cq.quotient == beta_quotient(beta, t)
+    for x in (cq.core, *cq.quotient, compose(cq), t_core(lam, t)):
+        _assert_valid(x)
+    for rs, comp in zip(runners(lam, t), cq.quotient):
+        if rs == tuple(range(len(rs) - 1, -1, -1)):  # gap-free runner
+            assert comp == Partition()
+
+
+def test_built_outputs_are_valid_partitions():
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for t in range(2, 8):
+                _check_built_outputs(lam, t)
+
+
+@given(long_or_wide, st.integers(2, 7))
+def test_built_outputs_are_valid_on_long_and_wide(lam, t):
+    _check_built_outputs(lam, t)
+
+
+@given(st.lists(st.integers(0, 6), max_size=8))
+def test_core_from_counts_is_valid_and_matches_beads(counts):
+    t = len(counts)
+    core = core_from_counts(counts)
+    _assert_valid(core)
+    assert core == beta_decode({c + t * k for c, a in enumerate(counts) for k in range(a)})
+
+
+def test_non_partition_input_is_refused():
+    # plain tuples are checked on the way in, so they never reach the decoder
+    assert decompose((2, 1), 2) == decompose(Partition((2, 1)), 2)
+    _assert_valid(t_core((2, 1), 2))
+    _assert_valid(t_core((1,), 5))  # returned as is, so converted first
+    for call in (
+        lambda: decompose((1, 3), 2),
+        lambda: t_core((1, 3), 2),
+        lambda: t_core((1, 3), 9),
+        lambda: compose(CoreQuotient((1, 3), (Partition(),) * 2)),
+        lambda: compose(CoreQuotient(Partition(), ((1, 3), Partition()))),
+    ):
+        with pytest.raises(ValueError, match="non-increasing"):
+            call()
+    with pytest.raises(ValueError) as info:
+        core_from_counts((0, -1))
+    assert str(info.value) == "bead counts must be non-negative, got (0, -1)"

@@ -364,6 +364,20 @@ def test_listing_budget_edge_without_p_of_n(monkeypatch):
     assert max(sizes) < 100  # p(k) only to the first k over the budget
 
 
+def test_runner_walk_refused_without_full_series(monkeypatch):
+    # t sum c_7(<= k) passes the budget by k = 511: refused before c_7(<= 100000)
+    sizes = []
+
+    def recording(t, truncation):
+        sizes.append(truncation)
+        return ct_count_series(t, truncation)
+
+    monkeypatch.setattr(cores, "ct_count_series", recording)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_t_cores(100_000, 7)
+    assert max(sizes) < 1000
+
+
 def test_count_budget_boundary(monkeypatch):
     entries = cores._dp_row_entries(5, 40)
     monkeypatch.setattr(cores, "CORE_COUNT_BUDGET", entries)

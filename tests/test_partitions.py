@@ -48,6 +48,35 @@ def test_partition_validation():
         Partition((-1,))
 
 
+def test_partition_validation_messages():
+    for parts, message in [
+        ((1, 2), "parts must be non-increasing, got (1, 2)"),
+        ((2, 0), "parts must be positive integers, got 0"),
+        ((1.5,), "parts must be positive integers, got 1.5"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Partition(parts)
+        assert str(info.value) == message
+
+
+def test_built_partitions_pass_the_check():
+    # enumeration and conjugation skip the per-part check; their outputs must
+    # pass it
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for x in (lam, conjugate(lam)):
+                assert type(x) is Partition
+                assert Partition(list(x)) == x
+
+
+def test_plain_tuples_are_checked():
+    assert conjugate((2, 1, 1)) == (3, 1)
+    assert count_t_hooks((2, 1, 1), 2) == 2
+    for call in (lambda: conjugate((1, 3)), lambda: count_t_hooks((1, 3), 2)):
+        with pytest.raises(ValueError, match="non-increasing"):
+            call()
+
+
 def test_enumeration_base_cases():
     assert list(enumerate_partitions(0)) == [()]
     assert list(enumerate_partitions(1)) == [(1,)]
