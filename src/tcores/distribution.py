@@ -75,7 +75,7 @@ def _core_count_array(t: int, n_max: int) -> list[int]:
     if n_max > NMAX_BUDGET:
         raise ValueError(f"n_max={n_max} is over the budget of {NMAX_BUDGET}")
     if t == 2:
-        return [cores.c2(n) for n in range(n_max + 1)]
+        return cores.c2_counts(n_max)
     if t == 3:
         return cores.c3_divisor_sums(n_max)
     return list(cores.ct_count_series(t, n_max))

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -344,6 +346,7 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(nekrasov, "_scaled_partition_side", no_work)
     monkeypatch.setattr(cores, "sparse_product", no_work)
     monkeypatch.setattr(cores, "c2", no_work)
+    monkeypatch.setattr(cores, "c2_counts", no_work)
     monkeypatch.setattr(cores, "c3_divisor_sum", no_work)
     monkeypatch.setattr(cores, "c3_divisor_sums", no_work)
     assert cli.main(argv.split()) == 2
@@ -558,19 +561,73 @@ def test_cli_import_loads_every_module_but_no_unused_stdlib():
     # where a command uses them. Every tcores module must still load, though:
     # bench/trace_child.py wraps functions only in the tcores modules that
     # `import tcores.cli` leaves in sys.modules, so a module imported lazily
-    # would read 0 calls in every span.
+    # would read 0 calls in every span. Neither the import nor main freezes
+    # the heap; only the process entry, cli.run, does.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import tcores.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('tcores.'))); "
-        "print([m for m in ('json', 'fractions', 'decimal', 'pathlib') if m in sys.modules])"
+        "print([m for m in ('json', 'fractions', 'decimal', 'pathlib') if m in sys.modules]); "
+        "import gc; print(gc.get_freeze_count()); "
+        "tcores.cli.main(['cores-count', '--n', '6', '--t', '2']); print(gc.get_freeze_count())"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     modules = [f"tcores.{m}" for m in
                ("abacus", "cli", "cores", "distribution", "nekrasov", "partitions", "series")]
-    assert result.stdout == f"{modules}\n[]\n"
+    assert result.stdout == f"{modules}\n[]\n0\nc_2(6) = 1\n0\n"
+
+
+@pytest.mark.parametrize(
+    "outcome, code",
+    [(0, 0), (1, 1), (["--help"], 0), (["verify", "part9"], 2)],
+    ids=["returns-0", "returns-1", "help", "usage-error"],
+)
+def test_run_freezes_then_exits_with_the_code_of_main(monkeypatch, capsys, outcome, code):
+    # An int outcome is main's return value; a list is the argv given to the
+    # real main, whose argparse raises SystemExit itself.
+    real_main = cli.main
+    calls = []
+
+    def fake_main():
+        calls.append("main")
+        return outcome if isinstance(outcome, int) else real_main(outcome)
+
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", fake_main)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert calls == ["freeze", "main"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--help",
+        "verify part1 --ell 4",
+        "cores-count --n 6 --t 2 --witnesses --format json",
+        "verify part2 --ell 5",
+        "table --n 30,60 --out {out}",
+    ],
+)
+def test_process_entry_matches_main(tmp_path, monkeypatch, capsysbinary, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
+    try:
+        code = cli.main(argv.format(out=tmp_path / "main").split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "tcores.cli", *argv.format(out=tmp_path / "run").split()],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, captured.err)
+    if "{out}" in argv:
+        assert (tmp_path / "run").read_bytes() == (tmp_path / "main").read_bytes()
 
 
 @pytest.mark.parametrize(

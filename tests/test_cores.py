@@ -7,6 +7,7 @@ from tcores import cores, distribution
 from tcores.abacus import core_from_counts
 from tcores.cores import (
     c2,
+    c2_counts,
     c3_divisor_sum,
     c3_divisor_sums,
     c3_qf_count,
@@ -71,6 +72,13 @@ def test_c2_examples():
     triangulars = {k * (k + 1) // 2 for k in range(40)}
     for n in range(500):
         assert c2(n) == (1 if n in triangulars else 0)
+
+
+def test_c2_table_matches_closed_form_and_dp():
+    for n_max in range(301):
+        assert c2_counts(n_max) == [c2(n) for n in range(n_max + 1)] == count_t_cores_up_to(2, n_max)
+    with pytest.raises(ValueError):
+        c2_counts(-1)
 
 
 def test_c3_divisor_sum_examples():
