@@ -19,8 +19,7 @@ quotient.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import add
+from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, _unchecked
@@ -73,6 +72,23 @@ def _rows(lam: Partition, t: int) -> list[list[int]]:
     return rows
 
 
+def _counts(lam: Partition, t: int) -> list[int]:
+    # Each runner's bead count, from one pass over the same structure numbers.
+    padding, values = _beads(lam, t)
+    counts = [1] * padding + [0] * (t - padding)
+    for b in values:
+        counts[b % t] += 1
+    return counts
+
+
+def _surplus(lam: Partition, counts: Sequence[int]) -> int:
+    # The rows sum(B // t) = (|lam| + s(s-1)/2 - sum(B mod t)) / t of s beads, less
+    # k(k-1)/2 for each runner of k beads: lam's number of t-hooks (0 for a t-core).
+    t, s = len(counts), sum(counts)
+    rows = (sum(lam) + s * (s - 1) // 2 - sum(map(mul, counts, range(t)))) // t
+    return rows - (sum(map(mul, counts, counts)) - s) // 2  # sum of k(k-1)/2
+
+
 def runners(lam: Partition, t: int) -> tuple[tuple[int, ...], ...]:
     """Runner c lists B // t for each structure number B = c mod t of lam.
 
@@ -88,22 +104,23 @@ def core_from_counts(counts: Iterable[int]) -> Partition:
     low = min(counts, default=0)
     if low < 0:
         raise ValueError(f"bead counts must be non-negative, got {counts}")
-    # Dropping row 0 of every runner (t beads, one shift of the padding)
-    # leaves the core unchanged, so every count is first lowered by low.
+    return _from_counts(counts, low, [])
+
+
+def _from_counts(counts: Sequence[int], low: int, values: list[int]) -> Partition:
+    # Runner c holds counts[c] - low gap-free beads, under any in values: dropping
+    # row 0 of every runner (t beads, one shift of the padding) keeps the partition.
     t = len(counts)
-    values = [b for c, a in enumerate(counts) for b in range(c, c + t * (a - low), t)]
+    for c, a in enumerate(counts):
+        values += range(c, c + t * (a - low), t)
     values.sort(reverse=True)
     return _partition_from_descending(values)
 
 
 def _partition_from_descending(values: Sequence[int]) -> Partition:
-    # The i-th largest of s distinct structure numbers B >= 0 is the part
-    # B + i - s >= 0, non-increasing in i, so dropping the zeros leaves a
-    # valid partition. Gap-free beads, the top one at B = s - 1, are empty.
-    s = len(values)
-    if not s or values[0] == s - 1:
-        return _EMPTY
-    return _unchecked(filter(None, map(add, values, range(1 - s, 1))))
+    # The i-th largest of s distinct structure numbers B >= 0 is the part B + i - s
+    # >= 0, non-increasing in i, so dropping the zeros leaves a valid partition.
+    return _unchecked(filter(None, map(add, values, range(1 - len(values), 1))))
 
 
 def t_core(lam: Partition, t: int) -> Partition:
@@ -112,11 +129,8 @@ def t_core(lam: Partition, t: int) -> Partition:
         lam = Partition(lam)
     if t > max(lam.size, 1):  # t >= 2 and no hook of lam reaches length t
         return lam
-    padding, values = _beads(lam, t)
-    counts = [1] * padding + [0] * (t - padding)
-    for b in values:
-        counts[b % t] += 1
-    return core_from_counts(counts)
+    counts = _counts(lam, t)
+    return _from_counts(counts, min(counts), [])
 
 
 def decompose(lam: Partition, t: int) -> CoreQuotient:
@@ -128,10 +142,13 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     if type(lam) is not Partition:
         lam = Partition(lam)
     rows = _rows(lam, t)
-    return CoreQuotient(
-        core=core_from_counts(map(len, rows)),
-        quotient=tuple(map(_partition_from_descending, rows)),
-    )
+    # A gap-free runner, its top row at count - 1, holds no t-hook.
+    quotient = tuple([_EMPTY if not rs or rs[0] == len(rs) - 1
+                      else _partition_from_descending(rs) for rs in rows])
+    if quotient.count(_EMPTY) == t:  # lam is its own t-core
+        return CoreQuotient(lam, quotient)
+    counts = list(map(len, rows))
+    return CoreQuotient(_from_counts(counts, min(counts), []), quotient)
 
 
 def compose(cq: CoreQuotient) -> Partition:
@@ -141,17 +158,13 @@ def compose(cq: CoreQuotient) -> Partition:
         core = Partition(core)
     quotient = [comp if type(comp) is Partition else Partition(comp) for comp in quotient]
     t = len(quotient)
-    rows = _rows(core, t)
-    # A t-core's runners are gap-free: their descending rows start at count - 1.
-    if any(rs and rs[0] != len(rs) - 1 for rs in rows):
+    counts = _counts(core, t)
+    if _surplus(core, counts):
         raise ValueError(f"core {tuple(core)} has a {t}-hook")
-    # t more zero parts put one more bead atop every runner: add them until
-    # runner c can hold comp's structure numbers, padded to counts[c] parts.
-    extra = max(0, max(len(comp) - len(rs) for comp, rs in zip(quotient, rows)))
-    counts = [len(rs) + extra for rs in rows]
-    values = [
-        t * r + c
-        for c, (comp, a) in enumerate(zip(quotient, counts))
-        for r in chain(map(add, comp, range(a - 1, -1, -1)), range(a - len(comp)))
-    ]
-    return _partition_from_descending(sorted(values, reverse=True))
+    # Runner c stacks comp's structure numbers, padded to counts[c] - low
+    # parts, on counts[c] - len(comp) - low gap-free beads (low may be < 0).
+    free = list(map(sub, counts, map(len, quotient)))
+    low = min(free)
+    values = [t * r + c for c, comp in enumerate(quotient) if comp
+              for r in map(add, comp, range(counts[c] - low - 1, -1, -1))]
+    return _from_counts(free, low, values)

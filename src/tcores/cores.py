@@ -389,6 +389,10 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
 
 def count_t_cores(n: int, t: int) -> int:
     """c_t(n) via the cheapest correct route for the given t."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
     if t == 2:
         return c2(n)
     if t == 3:

@@ -69,11 +69,15 @@ COUNTEREXAMPLE = "counterexample"
 NMAX_BUDGET = 100_000
 
 
-def _core_count_array(t: int, n_max: int) -> list[int]:
+def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     if n_max > NMAX_BUDGET:
         raise ValueError(f"n_max={n_max} is over the budget of {NMAX_BUDGET}")
+
+
+def _core_count_array(t: int, n_max: int) -> list[int]:
+    _check_n_max(n_max)
     if t == 2:
         return cores.c2_counts(n_max)
     if t == 3:
@@ -231,6 +235,7 @@ def _theorem(t: int, ell: int):
 
 def _verify(t: int, ell: int, a1: int, a2: int, n_max: int) -> Verdict:
     b, m, holds, note = _theorem(t, ell)
+    _check_n_max(n_max)  # refused like a sweep's, whether or not the hypothesis holds
     v = m * (a2 - t * a1) + 1
     if not holds(v):
         return Verdict(HYPOTHESIS_NOT_MET, note=note.format(v=v, ell=ell))

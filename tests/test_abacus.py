@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from tcores.abacus import (
     MAX_RUNNERS,
     CoreQuotient,
+    _counts,
+    _surplus,
     compose,
     core_from_counts,
     decompose,
@@ -382,6 +384,29 @@ def test_compose_refusals(cq, message):
     with pytest.raises(ValueError) as info:
         compose(cq)
     assert str(info.value) == message
+
+
+# James's abacus: a runner of k beads has rows summing to at least k(k-1)/2,
+# and the surplus is its number of t-hooks (Garvan, Kim and Stanton, 1990).
+def _check_row_sum_identity(lam, t):
+    counts = _counts(lam, t)
+    rows = runners(lam, t)
+    assert counts == list(map(len, rows))
+    surplus = _surplus(lam, counts)
+    assert surplus == sum(sum(rs) - len(rs) * (len(rs) - 1) // 2 for rs in rows)
+    assert surplus == count_t_hooks(lam, t) == decompose(lam, t).quotient_size
+
+
+def test_row_sum_identity_counts_t_hooks():
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for t in range(2, 8):
+                _check_row_sum_identity(lam, t)
+
+
+@given(long_or_wide, st.integers(2, 7))
+def test_row_sum_identity_on_long_and_wide(lam, t):
+    _check_row_sum_identity(lam, t)
 
 
 @given(long_or_wide, st.integers(2, 11))

@@ -280,21 +280,44 @@ def test_verify_mismatched_cell_flags(capsys):
     assert code == 2
 
 
-def test_verify_negative_nmax(capsys):
-    # sweeps refuse before checking a cell; a single cell only once its
-    # hypothesis holds
-    for argv in (
-        ["verify", "part1", "--ell", "5", "--nmax", "-1"],
-        ["verify", "part2", "--ell", "5", "--a1", "1", "--a2", "1", "--nmax", "-1"],
-    ):
-        assert cli.main(argv) == 2
+# A sweep, a cell whose hypothesis holds and cells whose hypothesis fails.
+_NMAX_ARGVS = (
+    ["verify", "part1", "--ell", "3"],
+    ["verify", "part1", "--ell", "3", "--a1", "0", "--a2", "0"],
+    ["verify", "part2", "--ell", "5"],
+    ["verify", "part2", "--ell", "5", "--a1", "1", "--a2", "1"],
+    ["verify", "part2", "--ell", "5", "--a1", "0", "--a2", "0"],
+)
+
+
+def _assert_nmax_refused(capsys, nmax, message):
+    for argv in _NMAX_ARGVS:
+        assert cli.main([*argv, "--nmax", str(nmax)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: n_max must be non-negative, got -1\n"
-    code, out = run(capsys, "verify", "part1", "--ell", "5", "--a1", "0",
-                    "--a2", "0", "--nmax", "-1")
-    assert code == 0
-    assert "hypothesis-not-met" in out
+        assert captured.err == f"error: {message}\n"
+
+
+def test_verify_negative_nmax(capsys):
+    # refused before any cell, whether or not the cell's hypothesis holds
+    _assert_nmax_refused(capsys, -1, "n_max must be non-negative, got -1")
+    with pytest.raises(ValueError, match="non-negative"):
+        distribution.verify_2hook_vanishing(3, 0, 0, -1)
+
+
+def test_verify_nmax_over_budget(capsys):
+    nmax = distribution.NMAX_BUDGET + 1
+    _assert_nmax_refused(
+        capsys, nmax, f"n_max={nmax} is over the budget of {distribution.NMAX_BUDGET}"
+    )
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_cores_count_negative_n(capsys, t):
+    assert cli.main(["cores-count", "--n", "-1", "--t", str(t)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be non-negative, got -1\n"
 
 
 def test_sweep_cell_budget(capsys, monkeypatch):

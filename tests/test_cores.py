@@ -300,6 +300,17 @@ def test_count_t_cores_witnesses():
         assert count_t_cores(n, t) == count_t_cores_up_to(t, n)[n]
 
 
+def test_count_t_cores_checks_n_then_t_before_choosing_a_route():
+    # one message whichever route (c2, c3 or the c_t series) t would select
+    for n, t, message in (
+        *((-1, t, "n must be non-negative, got -1") for t in range(1, 8)),
+        (5, 1, "t must be at least 2, got 1"),
+    ):
+        with pytest.raises(ValueError) as info:
+            count_t_cores(n, t)
+        assert str(info.value) == message
+
+
 def test_verify_core_formulas_small():
     _, failures = verify_core_formulas(n_max=100, series_n_max=60, t_max=5)
     assert not failures, failures
