@@ -145,8 +145,6 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     # A gap-free runner, its top row at count - 1, holds no t-hook.
     quotient = tuple([_EMPTY if not rs or rs[0] == len(rs) - 1
                       else _partition_from_descending(rs) for rs in rows])
-    if quotient.count(_EMPTY) == t:  # lam is its own t-core
-        return CoreQuotient(lam, quotient)
     counts = list(map(len, rows))
     return CoreQuotient(_from_counts(counts, min(counts), []), quotient)
 

@@ -374,8 +374,7 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     t > n no hook reaches length t, so every partition of n is a t-core and
     no runner is walked; the budget is charged n p(n) listed parts instead.
     """
-    if n < 0 or t < 2:
-        raise ValueError(f"need n >= 0 and t >= 2, got n={n}, t={t}")
+    _check_n_t(n, t)
     if t > n:
         _check_listing_budget(n)
         return list(enumerate_partitions(n))
@@ -387,12 +386,17 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     return sorted(cores, reverse=True)
 
 
-def count_t_cores(n: int, t: int) -> int:
-    """c_t(n) via the cheapest correct route for the given t."""
+def _check_n_t(n: int, t: int) -> None:
+    # one refusal for every route that counts or lists the t-cores of n
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
+
+
+def count_t_cores(n: int, t: int) -> int:
+    """c_t(n) via the cheapest correct route for the given t."""
+    _check_n_t(n, t)
     if t == 2:
         return c2(n)
     if t == 3:

@@ -313,8 +313,9 @@ def test_verify_nmax_over_budget(capsys):
 
 
 @pytest.mark.parametrize("t", range(2, 8))
-def test_cores_count_negative_n(capsys, t):
-    assert cli.main(["cores-count", "--n", "-1", "--t", str(t)]) == 2
+@pytest.mark.parametrize("witnesses", [[], ["--witnesses"]])
+def test_cores_count_negative_n(capsys, t, witnesses):
+    assert cli.main(["cores-count", "--n", "-1", "--t", str(t), *witnesses]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n must be non-negative, got -1\n"

@@ -301,14 +301,15 @@ def test_count_t_cores_witnesses():
 
 
 def test_count_t_cores_checks_n_then_t_before_choosing_a_route():
-    # one message whichever route (c2, c3 or the c_t series) t would select
+    # one message whichever route (c2, c3, the c_t series or the listing) is taken
     for n, t, message in (
         *((-1, t, "n must be non-negative, got -1") for t in range(1, 8)),
         (5, 1, "t must be at least 2, got 1"),
     ):
-        with pytest.raises(ValueError) as info:
-            count_t_cores(n, t)
-        assert str(info.value) == message
+        for route in (count_t_cores, enumerate_t_cores):
+            with pytest.raises(ValueError) as info:
+                route(n, t)
+            assert str(info.value) == message
 
 
 def test_verify_core_formulas_small():
