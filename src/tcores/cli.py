@@ -77,32 +77,29 @@ def cmd_hooks(args) -> tuple[int, list[str]]:
     return 0, lines
 
 
-def _decompose_payload(lam: Partition, t: int) -> dict:
-    cq = decompose(lam, t)
-    return {
-        "partition": list(lam),
-        "t": t,
-        "core": list(cq.core),
-        "quotient": [list(comp) for comp in cq.quotient],
-        "size": lam.size,
-        "core_size": cq.core.size,
-        "quotient_size": cq.quotient_size,
-        "identity": f"{lam.size} = {cq.core.size} + {t}*{cq.quotient_size}",
-    }
-
-
 def cmd_decompose(args) -> tuple[int, list[str]]:
-    payload = _decompose_payload(args.partition, args.t)
+    lam, t = args.partition, args.t
+    core, quotient = cq = decompose(lam, t)
+    identity = f"{lam.size} = {core.size} + {t}*{cq.quotient_size}"
     if args.format == "text":
         lines = [
-            f"partition: {','.join(map(str, payload['partition'])) or '-'}",
-            f"core:      {','.join(map(str, payload['core'])) or '-'}",
+            f"partition: {','.join(map(str, lam)) or '-'}",
+            f"core:      {','.join(map(str, core)) or '-'}",
         ]
-        for c, comp in enumerate(payload["quotient"]):
+        for c, comp in enumerate(quotient):
             lines.append(f"quotient[{c}]: {','.join(map(str, comp)) or '-'}")
-        ok = payload["size"] == payload["core_size"] + args.t * payload["quotient_size"]
-        lines.append(payload["identity"] + (" OK" if ok else " MISMATCH"))
-        return 0, lines
+        ok = lam.size == core.size + t * cq.quotient_size
+        return 0, lines + [identity + (" OK" if ok else " MISMATCH")]
+    payload = {
+        "partition": list(lam),
+        "t": t,
+        "core": list(core),
+        "quotient": [list(comp) for comp in quotient],
+        "size": lam.size,
+        "core_size": core.size,
+        "quotient_size": cq.quotient_size,
+        "identity": identity,
+    }
     return 0, [_dumps(payload, indent=2)]
 
 
@@ -128,7 +125,7 @@ def cmd_cores_count(args) -> tuple[int, list[str]]:
 
 
 def cmd_table(args) -> tuple[int, list[str]]:
-    rows = args.n if args.n is not None else DEFAULT_TABLE_ROWS
+    rows = args.n
     if args.a is not None and not 0 <= args.a < args.b:
         raise ValueError(f"--a must lie in 0..{args.b - 1}")
     if args.b < 1:
@@ -239,37 +236,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, func, formats=(), default=None):
+        if formats:
+            p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--out", default=None, help="write output to a file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("hooks", help="hook lengths of a partition")
     p.add_argument("partition", type=_parse_partition, help="comma-separated parts, '' for the empty partition")
     p.add_argument("--t", action="append", type=int, help="also report the t-hook count (repeatable)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(p)
-    p.set_defaults(func=cmd_hooks)
+    add_common(p, cmd_hooks, ("text", "json"), "text")
 
     p = sub.add_parser("decompose", help="t-core and t-quotient of a partition")
     p.add_argument("partition", type=_parse_partition)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="json")
-    add_common(p)
-    p.set_defaults(func=cmd_decompose)
+    add_common(p, cmd_decompose, ("text", "json"), "json")
 
     p = sub.add_parser("core", help="t-core of a partition")
     p.add_argument("partition", type=_parse_partition)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(p)
-    p.set_defaults(func=cmd_core)
+    add_common(p, cmd_core, ("text", "json"), "text")
 
     p = sub.add_parser("cores-count", help="number of t-cores of n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--witnesses", action="store_true", help="list the t-cores too")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(p)
-    p.set_defaults(func=cmd_cores_count)
+    add_common(p, cmd_cores_count, ("text", "json"), "text")
 
     p = sub.add_parser("table", help="residue-class counts of t-hook numbers")
     p.add_argument("--t", type=int, default=2)
@@ -278,12 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n",
         type=_parse_int_list,
-        default=None,
+        default=DEFAULT_TABLE_ROWS,
         help=f"comma-separated sizes (default {','.join(map(str, DEFAULT_TABLE_ROWS))})",
     )
-    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    add_common(p)
-    p.set_defaults(func=cmd_table)
+    add_common(p, cmd_table, ("csv", "json", "text"), "csv")
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument(
@@ -301,13 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_MMAX)
     p.add_argument("--series-nmax", type=int, default=200, dest="series_nmax")
     p.add_argument("--tmax", type=int, default=7)
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
+    add_common(p, cmd_verify)
 
     p = sub.add_parser("no-check", help="shorthand for 'verify no-identity'")
     p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_MMAX)
-    add_common(p)
-    p.set_defaults(func=cmd_verify, target="no-identity", nmax=None)
+    add_common(p, cmd_verify)
+    p.set_defaults(target="no-identity", nmax=None)
 
     return parser
 

@@ -7,6 +7,8 @@ or sieved for every n up to a bound), a positive definite
 quadratic-form count equivalent to the t = 3 case, and two generic routes —
 the product generating function and the runner theta-sum DP — that work for
 every t and serve as cross-checks; count_t_cores returns a plain int.
+core_counts is the one route to a table c_t(0..N), read by the hook tables,
+the vanishing sweeps and the witness walk's budget.
 enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
 test oracle.
 """
@@ -15,9 +17,9 @@ from __future__ import annotations
 
 from itertools import chain
 from math import isqrt, prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .abacus import core_from_counts
+from .abacus import _from_counts
 from .partitions import Partition, enumerate_partitions
 from .series import eta_inverse_power_series, sparse_product
 
@@ -189,6 +191,16 @@ def _check_series_budget(t: int, truncation: int) -> None:
         )
 
 
+def core_counts(t: int, n_max: int) -> Sequence[int]:
+    """c_t(0..n_max): the triangular numbers at t = 2, the divisor sieve at
+    t = 3, otherwise the product series, refused over its budget."""
+    if t == 2:
+        return c2_counts(n_max)
+    if t == 3:
+        return c3_divisor_sums(n_max)
+    return ct_count_series(t, n_max)
+
+
 def _runner_span(t: int, c: int, budget2: int) -> range:
     """Offsets x of runner c whose term t x^2 + (2c - t + 1) x is <= budget2."""
     # t x^2 + d x <= budget2  <=>  |2t x + d| <= sqrt(d^2 + 4t budget2)
@@ -242,12 +254,12 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
     walks runners t-1 down to 1; runner 0's offset is fixed by the zero sum.
     The cost is proportional to t times the number of cores found; raises
     ValueError before yielding anything when that exceeds
-    CORE_ENUMERATION_BUDGET, reading the c_t series only up to the first
+    CORE_ENUMERATION_BUDGET, reading core_counts only up to the first
     probed size over it, or when the c_t series to max_size is itself over
     SERIES_UPDATE_BUDGET (checked first, with no work).
     """
     _check_series_budget(t, max_size)
-    if over := _first_over_budget(max_size, lambda k: t * sum(ct_count_series(t, k))):
+    if over := _first_over_budget(max_size, lambda k: t * sum(core_counts(t, k))):
         k, entries = over
         raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes at least "
                          f"{entries} offsets (sizes <= {k}), over the budget of "
@@ -381,8 +393,7 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     cores = []
     for size, offs in _runner_offset_vectors(t, n):
         if size == n:
-            low = min(offs)
-            cores.append(core_from_counts(x - low for x in offs))
+            cores.append(_from_counts(offs, min(offs), []))
     return sorted(cores, reverse=True)
 
 

@@ -19,10 +19,10 @@ no t-core sits on the progression, which is how the paper proves each
 vanishing. The cores in question have sizes in the class r = a2 - t*a1 mod
 b, and each theorem's hypothesis is a condition on that class: (8r+1 / ell)
 = -1 for t = 2, b = ell, and ord_ell(3r+1) = 1 for t = 3, b = ell^2. A
-sweep asks the hypothesis once per class r and reads only the c_t array,
-through one table of the least m with c_t(m) > 0 in each class mod b. For
-each a1 it visits only the good classes shifted by t*a1, so it costs
-O(b + n_max + hypothesis cells).
+sweep asks the hypothesis once per class r and reads only the c_t array
+(cores.core_counts, as every table does), through one table of the least m
+with c_t(m) > 0 in each class mod b. For each a1 it visits only the good
+classes shifted by t*a1, so it costs O(b + n_max + hypothesis cells).
 """
 
 from __future__ import annotations
@@ -76,13 +76,9 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max={n_max} is over the budget of {NMAX_BUDGET}")
 
 
-def _core_count_array(t: int, n_max: int) -> list[int]:
+def _core_count_array(t: int, n_max: int) -> Sequence[int]:
     _check_n_max(n_max)
-    if t == 2:
-        return cores.c2_counts(n_max)
-    if t == 3:
-        return cores.c3_divisor_sums(n_max)
-    return list(cores.ct_count_series(t, n_max))
+    return cores.core_counts(t, n_max)
 
 
 class HookDistribution:

@@ -161,6 +161,16 @@ def test_cores_count_witnesses_over_budget(capsys):
     assert "budget" in captured.err
 
 
+@pytest.mark.parametrize("n, t", [(95_693, 2), (104_166, 3)])
+def test_cores_count_witnesses_series_bound_edge(capsys, n, t):
+    # the walk keeps the c_t series' n bound at t = 2, 3: the last n answers
+    code, out = run(capsys, "cores-count", "--n", str(n), "--t", str(t), "--witnesses")
+    count = cores.count_t_cores(n, t)
+    assert code == 0
+    assert out.splitlines()[0] == f"c_{t}({n}) = {count}"
+    assert len(out.splitlines()) == 1 + count
+
+
 def test_table_builds_engine_once(capsys, monkeypatch):
     builds = []
 
@@ -357,6 +367,8 @@ def test_nmax_budget_boundary(capsys, monkeypatch):
         "verify no-identity --mmax 32",
         "cores-count --n 200000 --t 5",
         "cores-count --n 200000 --t 5 --witnesses",
+        "cores-count --n 95694 --t 2 --witnesses",
+        "cores-count --n 104167 --t 3 --witnesses",
         "verify part1 --ell 5 --nmax 100001",
         "verify part2 --ell 2 --nmax 100001",
         "verify part1 --ell 5 --a1 1 --a2 1 --nmax 100001",

@@ -300,6 +300,25 @@ def test_count_t_cores_witnesses():
         assert count_t_cores(n, t) == count_t_cores_up_to(t, n)[n]
 
 
+def test_core_counts_match_the_runner_dp():
+    # one route per t builds every table; the runner DP stays its oracle
+    for t in range(2, 8):
+        assert list(cores.core_counts(t, 200)) == count_t_cores_up_to(t, 200), t
+
+
+@pytest.mark.parametrize("n, t", [(89_676, 2), (90_000, 3)])
+def test_listing_at_t_2_3_builds_no_series(monkeypatch, n, t):
+    # the walk's budget reads the closed-form tables, never the c_t series
+    def no_series(*args):
+        raise AssertionError("built the c_t series")
+
+    monkeypatch.setattr(cores, "ct_count_series", no_series)
+    monkeypatch.setattr(cores, "sparse_product", no_series)
+    found = enumerate_t_cores(n, t)
+    assert len(found) == count_t_cores(n, t) > 0
+    assert all(sum(core) == n and count_t_hooks(core, t) == 0 for core in found)
+
+
 def test_count_t_cores_checks_n_then_t_before_choosing_a_route():
     # one message whichever route (c2, c3, the c_t series or the listing) is taken
     for n, t, message in (
