@@ -1,7 +1,7 @@
 """Exact hook-count statistics for integer partitions.
 
 Partitions, hook lengths, abacus encodings, t-cores and t-quotients, closed
-forms for 2- and 3-core counts, exact big-integer generating functions for
+forms for 2-, 3- and 5-core counts, exact big-integer generating functions for
 partition statistics, and a truncated check of the Nekrasov-Okounkov
 hook-length formula. All arithmetic is exact: big integers and rationals,
 no floating point.

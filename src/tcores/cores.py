@@ -1,10 +1,11 @@
 """Counting t-core partitions.
 
 Closed forms for t = 2 (triangular-number test on 8n+1, or the triangular
-numbers marked for every n up to a bound) and t = 3 (the sum of (d/3) over
-the divisors d of 3n+1, per n as a product over the prime powers of 3n+1,
-or sieved for every n up to a bound), a positive definite
-quadratic-form count equivalent to the t = 3 case, and two generic routes —
+numbers marked for every n up to a bound), t = 3 (the sum of (d/3) over
+the divisors d of 3n+1) and t = 5 (the sum of (d/5) (n+1)/d over the
+divisors d of n+1), each per n as a product over the prime powers of 3n+1
+or n+1, or sieved for every n up to a bound; a positive definite
+quadratic-form count equivalent to the t = 3 case; and two generic routes —
 the product generating function and the runner theta-sum DP — that work for
 every t and serve as cross-checks; count_t_cores returns a plain int.
 core_counts is the one route to a table c_t(0..N), read by the hook tables,
@@ -24,10 +25,11 @@ from .partitions import Partition, enumerate_partitions
 from .series import eta_inverse_power_series, sparse_product
 
 
-# Largest n that _factor trial-divides, for is_prime(n) and for 3n+1 in
-# c3_divisor_sum. The worst case is a prime near 10^12, whose odd trial
-# divisors run to its square root: is_prime(999_999_999_989) and
-# c3_divisor_sum(333_333_000_000) took about 0.05 s each on a 2.1 GHz Xeon.
+# Largest n that _factor trial-divides, for is_prime(n), for 3n+1 in
+# c3_divisor_sum and for n+1 in c5_divisor_sum. The worst case is a prime
+# near 10^12, whose odd trial divisors run to its square root:
+# is_prime(999_999_999_989), c3_divisor_sum(333_333_000_000) and
+# c5_divisor_sum(999_999_999_988) took about 0.05 s each on a 2.1 GHz Xeon.
 TRIAL_DIVISION_LIMIT = 10**12
 
 
@@ -115,6 +117,48 @@ def c3_divisor_sums(n_max: int) -> list[int]:
     return counts
 
 
+# (d/5) by d mod 5
+_LEGENDRE5 = (0, 1, -1, -1, 1)
+
+
+def c5_divisor_sum(n: int) -> int:
+    """Number of 5-cores of n: sum of (d/5) (n+1)/d over divisors d of n+1.
+
+    This is Garvan, Kim and Stanton's closed form ("Cranks and t-cores",
+    Invent. Math. 1990). The sum is multiplicative, and p^e || n+1 gives
+    sum over i <= e of x^i p^(e-i) with x = (p/5): (p^(e+1) - x^(e+1)) / (p - x),
+    which is 5^e at p = 5. Raises ValueError when n+1 is above
+    TRIAL_DIVISION_LIMIT.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return prod(
+        (p ** (e + 1) - _LEGENDRE5[p % 5] ** (e + 1)) // (p - _LEGENDRE5[p % 5])
+        for p, e in _factor(n + 1)
+    )
+
+
+def c5_divisor_sums(n_max: int) -> list[int]:
+    """[c5_divisor_sum(n) for n in 0..n_max], by a sieve over the divisors.
+
+    Each factorization n+1 = d*e with d <= e adds (d/5) e + (e/5) d, counted
+    once when e = d. For each d <= sqrt(n_max + 1), the n with n+1 = d*e for
+    e = d, d+1, d+2, ... start at d^2 - 1 and step by d, O(n_max log n_max)
+    in all.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    counts = [0] * (n_max + 1)
+    for d in range(1, isqrt(n_max + 1) + 1):
+        first, sign = d * d - 1, _LEGENDRE5[d % 5]
+        counts[first] += sign * d
+        by_e = [x * d for x in _LEGENDRE5]  # (e/5) d by e mod 5
+        counts[first + d :: d] = [
+            c + sign * e + by_e[e % 5] for e, c in enumerate(counts[first + d :: d], d + 1)
+        ]
+    return counts
+
+
 def c3_qf_solutions(n: int) -> list[tuple[int, int]]:
     """All (a, b) in Z>=0 x Z>=0 with a^2 - a*b + b^2 + b = n.
 
@@ -158,9 +202,9 @@ SERIES_UPDATE_BUDGET = 80_000_000
 
 
 def _series_updates(t: int, truncation: int) -> int:
-    """Upper bound on ct_count_series's coefficient updates: a Miller pass
+    """Upper bound on ct_count_series's coefficient updates: a power pass
     over N // t and a division pass over N, each n taking at most
-    2 isqrt(n) pentagonal terms."""
+    2 isqrt(n) pentagonal (or, at t = 3, triangular) terms."""
     n = max(truncation, 0)  # sparse_product rejects a negative N itself
     m = n // t
     return 2 * (m * isqrt(m) + n * isqrt(n))
@@ -171,8 +215,8 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
 
     Multiplying first keeps every intermediate coefficient small: E(q^t)^t
     and the quotient c_t grow polynomially, while 1/E(q) grows like p(n).
-    E(q^t)^t takes one Miller pass over N // t, and the division one pass
-    over N (see series).
+    E(q^t)^t takes one Miller pass over N // t (Jacobi's at t = 3), and the
+    division one pass over N (see series).
     Raises ValueError before any work when _series_updates exceeds
     SERIES_UPDATE_BUDGET.
     """
@@ -192,12 +236,14 @@ def _check_series_budget(t: int, truncation: int) -> None:
 
 
 def core_counts(t: int, n_max: int) -> Sequence[int]:
-    """c_t(0..n_max): the triangular numbers at t = 2, the divisor sieve at
-    t = 3, otherwise the product series, refused over its budget."""
+    """c_t(0..n_max): the triangular numbers at t = 2, the divisor sieves at
+    t = 3 and 5, otherwise the product series, refused over its budget."""
     if t == 2:
         return c2_counts(n_max)
     if t == 3:
         return c3_divisor_sums(n_max)
+    if t == 5:
+        return c5_divisor_sums(n_max)
     return ct_count_series(t, n_max)
 
 
@@ -412,6 +458,8 @@ def count_t_cores(n: int, t: int) -> int:
         return c2(n)
     if t == 3:
         return c3_divisor_sum(n)
+    if t == 5:
+        return c5_divisor_sum(n)
     return ct_count_series(t, n)[n]
 
 

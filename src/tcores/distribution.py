@@ -64,8 +64,9 @@ COUNTEREXAMPLE = "counterexample"
 # Largest n_max for which _core_count_array builds c_t(0..n_max). The c_3
 # sieve is cheap: verify part2 --ell 2 --nmax 100000 took 0.12 s in a fresh
 # process on a 2.1 GHz Xeon. A table at that n still pays for the tuple
-# series, and at t >= 4 for the c_t series too: table --n 100000 took 1.6 s
-# at --t 3 --b 9, 3.2 s at --t 2 and 5.7 s at --t 5.
+# series, and at t = 4 and t >= 6 for the c_t series too: on a 2.0 GHz Xeon,
+# table --n 100000 took 1.5 s at --t 3 --b 9, 1.1 s at --t 5, 3.0 s at --t 2
+# and 5.8 s at --t 4.
 NMAX_BUDGET = 100_000
 
 

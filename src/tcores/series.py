@@ -8,9 +8,15 @@ E(q) = prod_{m>=1} (1 - q^m). By Euler's pentagonal number theorem
 so up to q^N it has only O(sqrt(N)) nonzero terms, at the generalized
 pentagonal numbers 1, 2, 5, 7, 12, 15, ... Multiplying or dividing a
 coefficient table by E(q^s) is therefore one sparse recurrence pass over the
-table, and a factor E(q^s)^e takes |e| such passes.
+table, and a factor E(q^s)^e takes |e| such passes. A cube is as sparse:
+by Jacobi's identity
 
-While the table is still 1, the first factor with |e| >= 2 instead takes one
+    E(q)^3 = sum over k >= 0 of (-1)^k (2k + 1) q^{k(k+1)/2},
+
+with terms at the triangular numbers 1, 3, 6, 10, ..., so a factor with
+|e| = 3 takes one pass over those, weighted +-(2k + 1).
+
+Otherwise, while the table is still 1, the first factor with |e| >= 2 takes one
 pass of J. C. P. Miller's recurrence for a power of a power series (Knuth,
 TAOCP Vol. 2, 4.7): with g = E(q) and h = g^e, g h' = e g' h gives
 
@@ -41,6 +47,12 @@ def _pentagonal_terms(truncation: int) -> list[tuple[int, int]]:
         for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
         if g <= truncation
     ]
+
+
+def _jacobi_terms(truncation: int) -> list[tuple[int, int]]:
+    """(g, coefficient of q^g in E(q)^3) for the triangular 1 <= g <= N, ascending."""
+    top = (isqrt(8 * truncation + 1) - 1) // 2  # the largest k with k(k+1)/2 <= N
+    return [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(1, top + 1)]
 
 
 def _eta_power(e: int, truncation: int) -> list[int]:
@@ -86,22 +98,24 @@ def sparse_product(
         pentagonal = _pentagonal_terms(truncation // s)
         if not pentagonal or e == 0:
             continue  # s > N or e = 0: the factor is 1 up to q^N
-        if untouched and abs(e) >= 2:
+        if untouched and abs(e) not in (1, 3):
             c[::s] = _eta_power(e, truncation // s)
         else:
-            # Dividing moves E(q^s) - 1 across, flipping its signs, and runs
-            # ascending so c[n - d] already holds the quotient; multiplying
-            # runs descending so c[n - d] still holds the old value.
+            # Dividing moves the sparse series minus 1 across, flipping its
+            # signs, and runs ascending so c[n - d] already holds the quotient;
+            # multiplying runs descending so c[n - d] still holds the old value.
+            cube = abs(e) == 3
             flip = 1 if e > 0 else -1
-            terms = [(s * g, flip * sign) for g, sign in pentagonal]
+            sparse = _jacobi_terms(truncation // s) if cube else pentagonal
+            terms = [(s * g, flip * weight) for g, weight in sparse]
             order = range(truncation, 0, -1) if e > 0 else range(1, truncation + 1)
-            for _ in range(abs(e)):
+            for _ in range(1 if cube else abs(e)):
                 for n in order:
                     acc = c[n]
-                    for d, sign in terms:
+                    for d, weight in terms:
                         if d > n:
                             break
-                        acc += sign * c[n - d]
+                        acc += weight * c[n - d]
                     c[n] = acc
         untouched = False
     return tuple(c)

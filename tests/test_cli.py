@@ -365,7 +365,7 @@ def test_nmax_budget_boundary(capsys, monkeypatch):
         "no-check --mmax 32",
         "no-check --mmax 1000000000",
         "verify no-identity --mmax 32",
-        "cores-count --n 200000 --t 5",
+        "cores-count --n 200000 --t 7",
         "cores-count --n 200000 --t 5 --witnesses",
         "cores-count --n 95694 --t 2 --witnesses",
         "cores-count --n 104167 --t 3 --witnesses",
@@ -385,6 +385,8 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(cores, "c2_counts", no_work)
     monkeypatch.setattr(cores, "c3_divisor_sum", no_work)
     monkeypatch.setattr(cores, "c3_divisor_sums", no_work)
+    monkeypatch.setattr(cores, "c5_divisor_sum", no_work)
+    monkeypatch.setattr(cores, "c5_divisor_sums", no_work)
     assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -435,7 +437,8 @@ def test_table_cell_budget(capsys, monkeypatch):
     [
         ("table --b 0 --n 60000", "modulus b must be at least 1, got 0"),
         ("table --b -1 --t 3 --n 60000", "modulus b must be at least 1, got -1"),
-        ("table --b 0 --a 0 --n 5", "--a must lie in 0..-1"),
+        ("table --b 0 --a 0 --n 5", "modulus b must be at least 1, got 0"),
+        ("table --b 3 --a 3 --n 5", "--a must lie in 0..2"),
     ],
 )
 def test_table_bad_modulus_builds_no_engine(capsys, monkeypatch, argv, message):

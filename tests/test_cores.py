@@ -12,6 +12,7 @@ from tcores.cores import (
     c3_divisor_sums,
     c3_qf_count,
     c3_qf_solutions,
+    c5_divisor_sums,
     count_t_cores,
     count_t_cores_up_to,
     ct_count_series,
@@ -169,6 +170,32 @@ def test_c3_sieve_matches_divisor_sums(n_max):
     assert c3_divisor_sums(n_max) == [c3_divisor_sum(n) for n in range(n_max + 1)]
     with pytest.raises(ValueError):
         c3_divisor_sums(-1)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 3000])
+def test_c5_sieve_matches_series_and_runner_dp(n_max):
+    sieve = c5_divisor_sums(n_max)
+    assert tuple(sieve) == ct_count_series(5, n_max)
+    assert sieve[:201] == count_t_cores_up_to(5, min(n_max, 200))
+    with pytest.raises(ValueError):
+        c5_divisor_sums(-1)
+
+
+def test_c5_product_form_matches_sieve():
+    assert [count_t_cores(n, 5) for n in range(3001)] == c5_divisor_sums(3000)
+
+
+def test_c5_trial_division_limit():
+    limit = cores.TRIAL_DIVISION_LIMIT
+    # n+1 = 10^12 = 2^12 * 5^12: the product form against the sum over its
+    # divisors d of (d/5) (n+1)/d
+    legendre = {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}
+    divisors = [2**i * 5**j for i in range(13) for j in range(13)]
+    by_divisors = sum(legendre[d % 5] * (limit // d) for d in divisors)
+    assert count_t_cores(limit - 1, 5) == by_divisors == 666_748_046_875
+    with pytest.raises(ValueError) as exc:
+        count_t_cores(limit, 5)
+    assert str(exc.value) == f"trial division of {limit + 1} is over the limit of {limit}"
 
 
 def test_ct_count_series_examples():
@@ -449,8 +476,11 @@ def test_series_budget_boundary(monkeypatch):
     monkeypatch.setattr(cores, "sparse_product", lambda *a: calls.append(a))
     with pytest.raises(ValueError, match="budget"):
         ct_count_series(5, 40)
+    # the count at t = 5 reads its closed form; t = 7 still reads the series
+    assert count_t_cores(40, 5) == count_t_cores_up_to(5, 40)[40]
+    monkeypatch.setattr(cores, "SERIES_UPDATE_BUDGET", cores._series_updates(7, 40) - 1)
     with pytest.raises(ValueError, match="budget"):
-        count_t_cores(40, 5)
+        count_t_cores(40, 7)
     assert calls == []
 
 

@@ -90,6 +90,10 @@ def test_sparse_product_matches_strided_oracle():
     cases += [([(50, 2), (1, -2)], 30), ([(31, -1), (3, 3)], 30)]
     cases += [([(1, -1), (1, -2)], 40), ([(2, 1), (1, 3)], 40)]
     cases += [([(1, -3)], 200), ([(5, 5), (1, -1)], 200), ([(2, -2), (3, 2)], 120)]
+    # A cube takes one pass over Jacobi's triangular terms: first, after a
+    # factor with |e| = 1, and for s > N.
+    cases += [([(3, 3), (1, -1)], 90), ([(2, -3)], 60), ([(1, 1), (1, -3)], 60)]
+    cases += [([(1, -1), (2, 3), (3, -3)], 70), ([(41, 3), (1, -3)], 40), ([(41, -3)], 40)]
     for _ in range(150):
         factors = [
             (rng.randint(1, 7), rng.randint(-3, 3))
