@@ -2,13 +2,13 @@
 
 A partition with s parts (zeros allowed as padding) has structure numbers
 B_i = lam_i - i + s, strictly decreasing. On t runners, B = t*r + c is a bead
-in row r >= 0 of runner c. runners(lam, t) lists each runner's rows, and one
-decoder turns runner rows back into a partition. Moving B to a free B - t
-(a bead one row up) removes a rim t-hook, so the t-core keeps only each
-runner's bead count (core_from_counts; a t-core is its vector of runner
-counts, as in Garvan, Kim and Stanton, "Cranks and t-cores", 1990), and
-each runner's rows, read as one-runner structure numbers, decode to one
-t-quotient component.
+in row r >= 0 of runner c, and one decoder turns runner rows back into a
+partition. Moving B to a free B - t (a bead one row up) removes a rim
+t-hook, so the t-core keeps only each runner's bead count (a t-core is its
+vector of runner counts, as in Garvan, Kim and Stanton, "Cranks and
+t-cores", 1990), and each runner's rows, read as one-runner structure
+numbers, decode to one t-quotient component. The API is decompose, compose
+and t_core; the runner layout stays private.
 
 Bead-count convention: abaci are padded with zero parts so the bead count s
 is the least multiple of t with s >= #parts. Fixing s mod t pins down the
@@ -20,7 +20,7 @@ quotient.
 from __future__ import annotations
 
 from operator import add, mul, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, _unchecked
 
@@ -87,24 +87,6 @@ def _surplus(lam: Partition, counts: Sequence[int]) -> int:
     t, s = len(counts), sum(counts)
     rows = (sum(lam) + s * (s - 1) // 2 - sum(map(mul, counts, range(t)))) // t
     return rows - (sum(map(mul, counts, counts)) - s) // 2  # sum of k(k-1)/2
-
-
-def runners(lam: Partition, t: int) -> tuple[tuple[int, ...], ...]:
-    """Runner c lists B // t for each structure number B = c mod t of lam.
-
-    Rows are descending; the bead count follows the padding rule.
-    Raises ValueError for t above MAX_RUNNERS.
-    """
-    return tuple(map(tuple, _rows(lam, t)))
-
-
-def core_from_counts(counts: Iterable[int]) -> Partition:
-    """The t-core whose runner c holds counts[c] beads in its top rows."""
-    counts = tuple(counts)
-    low = min(counts, default=0)
-    if low < 0:
-        raise ValueError(f"bead counts must be non-negative, got {counts}")
-    return _from_counts(counts, low, [])
 
 
 def _from_counts(counts: Sequence[int], low: int, values: list[int]) -> Partition:

@@ -126,8 +126,7 @@ def cmd_cores_count(args) -> tuple[int, list[str]]:
 
 def cmd_table(args) -> tuple[int, list[str]]:
     rows = args.n
-    if args.b < 1:
-        raise ValueError(f"modulus b must be at least 1, got {args.b}")
+    distribution._check_modulus(args.b)
     if args.a is not None and not 0 <= args.a < args.b:
         raise ValueError(f"--a must lie in 0..{args.b - 1}")
     residues = range(args.b) if args.a is None else (args.a,)

@@ -10,7 +10,8 @@ paired with a t-tuple of partitions of total size k, so
 
 with Q_t(k) the number of t-tuples of total size k. Everything is exact
 big-integer arithmetic; proportions are exact rationals rendered to
-PROPORTION_PLACES decimal places (round half to even).
+PROPORTION_PLACES decimal places (round half to even). A modulus b below 1
+is refused before any series is built.
 
 The vanishing verifiers need no products: every c_t(m) is >= 0 and every
 Q_t(k) > 0 (the tuple of (k) and t - 1 empty partitions has size k), so
@@ -31,7 +32,6 @@ from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from . import cores
-from .partitions import count_t_hooks, enumerate_partitions
 from .series import eta_inverse_power_series
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "SweepReport",
     "pt_count",
     "residue_profile",
-    "brute_force_profile",
     "format_proportion",
     "formatted_proportions",
     "verify_2hook_vanishing",
@@ -51,8 +50,6 @@ __all__ = [
     "HYPOTHESIS_NOT_MET",
     "COUNTEREXAMPLE",
 ]
-
-BRUTE_FORCE_GUARD = 40
 
 PROPORTION_PLACES = 4
 
@@ -77,6 +74,11 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max={n_max} is over the budget of {NMAX_BUDGET}")
 
 
+def _check_modulus(b: int) -> None:
+    if b < 1:
+        raise ValueError(f"modulus b must be at least 1, got {b}")
+
+
 def _core_count_array(t: int, n_max: int) -> Sequence[int]:
     _check_n_max(n_max)
     return cores.core_counts(t, n_max)
@@ -94,8 +96,7 @@ class HookDistribution:
         self.tuple_counts = eta_inverse_power_series(t, n_max // t)
 
     def _check(self, b: int, n: int) -> None:
-        if b < 1:
-            raise ValueError(f"modulus b must be at least 1, got {b}")
+        _check_modulus(b)
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n={n} outside precomputed range 0..{self.n_max}")
 
@@ -126,6 +127,7 @@ def pt_count(t: int, a: int, b: int, n: int) -> int:
     Builds the series for this n on each call; for many n, build one
     HookDistribution(t, n_max) yourself and call its count.
     """
+    _check_modulus(b)
     return HookDistribution(t, n).count(a, b, n)
 
 
@@ -152,22 +154,8 @@ def residue_profile(t: int, b: int, n: int) -> tuple[int, ...]:
     Builds the series for this n on each call; for many n, build one
     HookDistribution(t, n_max) yourself and call its residue_counts.
     """
+    _check_modulus(b)
     return tuple(HookDistribution(t, n).residue_counts(b, n))
-
-
-def brute_force_profile(t: int, b: int, n: int) -> tuple[int, ...]:
-    """Oracle twin of residue_profile: enumerate partitions and bucket them.
-
-    Refuses n > BRUTE_FORCE_GUARD, since the enumeration is exponential.
-    """
-    if b < 1:
-        raise ValueError(f"modulus b must be at least 1, got {b}")
-    if n > BRUTE_FORCE_GUARD:
-        raise ValueError(f"n={n} exceeds the brute-force guard {BRUTE_FORCE_GUARD}")
-    counts = [0] * b
-    for lam in enumerate_partitions(n):
-        counts[count_t_hooks(lam, t) % b] += 1
-    return tuple(counts)
 
 
 class Verdict(NamedTuple):

@@ -17,11 +17,8 @@ and the hook side S_m, with H_lam the product of lam's hook lengths, is
 
 The check compares m! g_m with m!^2 S_m, both m!^2 times the true sides;
 scaling by a positive constant keeps the first differing z-degree, which
-check_identity returns per mismatch. Only the public views build Fraction
-values, and only they import fractions, so check_identity never loads it.
-Setting z = 2 or z = 4 specializes the right side to the Euler and Jacobi
-series prod (1-q^n) and prod (1-q^n)^3, which tests compare against
-independent integer series.
+check_identity returns per mismatch. Only the Fraction views partition_side
+and product_side import fractions, so check_identity never loads it.
 """
 
 from __future__ import annotations
@@ -123,21 +120,3 @@ def check_identity(m_max: int) -> tuple[tuple[int, int], ...]:
             mismatches.append((m, bad))
     return tuple(mismatches)
 
-
-def specialize(m_max: int, z: Fraction | int) -> tuple[Fraction, ...]:
-    """Evaluate the hook-product side at a fixed z for every m <= m_max.
-
-    z = 2 yields the coefficients of prod (1-q^n); z = 4 those of
-    prod (1-q^n)^3.
-    """
-    from fractions import Fraction
-
-    _check_budget(m_max)
-    z = Fraction(z)
-    values = []
-    for m in range(m_max + 1):
-        acc = Fraction(0)
-        for c in reversed(_scaled_partition_side(m)):  # Horner's rule
-            acc = acc * z + c
-        values.append(acc / factorial(m) ** 2)
-    return tuple(values)

@@ -1,4 +1,4 @@
-"""Integer partitions, hook lengths, and the hook-length dimension formula.
+"""Integer partitions, hook lengths, and t-hook counts.
 
 Conventions: rows and columns of the Ferrers-Young diagram are 1-based, parts
 are non-increasing, and the empty partition is the unique partition of 0.
@@ -7,7 +7,6 @@ are non-increasing, and the empty partition is the unique partition of 0.
 from __future__ import annotations
 
 from functools import partial
-from math import factorial
 from typing import Iterable, Iterator
 
 
@@ -24,7 +23,7 @@ class Partition(tuple):
         self = super().__new__(cls, parts)
         prev = None
         for p in self:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or type(p) is bool or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
             if prev is not None and p > prev:
                 raise ValueError(f"parts must be non-increasing, got {tuple(self)}")
@@ -112,20 +111,3 @@ def count_t_hooks(lam: Partition, t: int) -> int:
     marks = [(col - j) % t for j, col in enumerate(conjugate(lam), 1)]
     return sum(marks[:part].count((i - part - 1) % t) for i, part in enumerate(lam, 1))
 
-
-def representation_dimension(lam: Partition) -> int:
-    """n! divided by the product of all hook lengths (always an integer).
-
-    This is the dimension of the irreducible symmetric-group representation
-    labelled by lam.
-    """
-    prod = 1
-    for row in hook_rows(lam):
-        for h in row:
-            prod *= h
-    q, r = divmod(factorial(lam.size), prod)
-    if r:
-        raise ArithmeticError(
-            f"hook product {prod} does not divide {lam.size}! for {tuple(lam)}"
-        )
-    return q

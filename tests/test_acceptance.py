@@ -4,22 +4,17 @@ Each test prints one PASS line on success (run with -s to see them); a
 failure message pinpoints the first offending value.
 """
 
-from math import factorial
+from math import factorial, prod
 
 from tcores import cli, nekrasov
 from tcores.abacus import compose, decompose
 from tcores.cores import verify_core_formulas
 from tcores.distribution import (
-    brute_force_profile,
     residue_profile,
     sweep_2hook_vanishing,
     sweep_3hook_vanishing,
 )
-from tcores.partitions import (
-    count_t_hooks,
-    enumerate_partitions,
-    representation_dimension,
-)
+from tcores.partitions import count_t_hooks, enumerate_partitions, hook_rows
 from tcores.series import sparse_product
 
 # Published 4-decimal proportions of 2-hook counts mod 3; reproduction must
@@ -88,11 +83,11 @@ def test_criterion_3_vanishing_3hooks(capsys):
 
 def test_criterion_4_oracle_equivalence(capsys):
     for t in (2, 3):
-        for b in (2, 3, 5, 25):
-            for n in range(26):
-                fast = residue_profile(t, b, n)
-                slow = brute_force_profile(t, b, n)
-                assert fast == slow, f"t={t} b={b} n={n}"
+        for n in range(26):
+            hooks = [count_t_hooks(lam, t) for lam in enumerate_partitions(n)]
+            for b in (2, 3, 5, 25):
+                slow = tuple(sum(k % b == a for k in hooks) for a in range(b))
+                assert residue_profile(t, b, n) == slow, f"t={t} b={b} n={n}"
     with capsys.disabled():
         print("criterion 4 (generating function = brute force, n <= 25): PASS")
 
@@ -123,17 +118,21 @@ def test_criterion_6_core_formula_agreement(capsys):
 def test_criterion_7_hook_length_identity(capsys):
     mismatches = nekrasov.check_identity(12)
     assert not mismatches, f"mismatches at {mismatches}"
-    assert nekrasov.specialize(12, 2) == sparse_product([(1, 1)], 12)
-    assert nekrasov.specialize(12, 4) == sparse_product([(1, 3)], 12)
+    for z, e in ((2, 1), (4, 3)):  # Euler's and Jacobi's product series
+        hook_side = tuple(sum(c * z**k for k, c in enumerate(nekrasov.partition_side(m)))
+                          for m in range(13))
+        assert hook_side == sparse_product([(1, e)], 12), f"z={z}"
     with capsys.disabled():
         print("criterion 7 (hook-length identity and specializations, m <= 12): PASS")
 
 
 def test_criterion_8_dimension_formula(capsys):
     for n in range(15):
-        total = sum(
-            representation_dimension(lam) ** 2 for lam in enumerate_partitions(n)
-        )
+        total = 0
+        for lam in enumerate_partitions(n):
+            dim, r = divmod(factorial(n), prod(map(prod, hook_rows(lam))))
+            assert r == 0, f"hook product of {lam} does not divide {n}!"
+            total += dim * dim
         assert total == factorial(n), f"sum of squared dimensions wrong at n={n}"
     with capsys.disabled():
         print("criterion 8 (dimension formula, sum of squares = n!, n <= 14): PASS")

@@ -618,6 +618,23 @@ def test_cli_import_loads_every_module_but_no_unused_stdlib():
     assert result.stdout == f"{modules}\n[]\n0\nc_2(6) = 1\n0\n"
 
 
+@pytest.mark.parametrize("argv", [["no-check"], ["verify", "no-identity"]])
+def test_no_identity_check_loads_no_fractions_or_json(argv):
+    # check_identity works in integers, and its text output needs no json
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tcores.cli; "
+        f"code = tcores.cli.main({argv!r}); "
+        "print(code, [m for m in ('json', 'fractions', 'decimal') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == (
+        "hook-length identity verified for all q-degrees <= 12\nVERIFIED\n0 []\n"
+    )
+
+
 @pytest.mark.parametrize(
     "outcome, code",
     [(0, 0), (1, 1), (["--help"], 0), (["verify", "part9"], 2)],

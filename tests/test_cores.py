@@ -4,7 +4,7 @@ from operator import add
 import pytest
 
 from tcores import cores, distribution
-from tcores.abacus import core_from_counts
+from tcores.abacus import _from_counts
 from tcores.cores import (
     c2,
     c2_counts,
@@ -386,7 +386,7 @@ def test_enumeration_budget(monkeypatch):
 def _decoded_runner_walk(n, t):
     # every offset vector of size n, decoded to its core, as a sorted list
     found = [
-        core_from_counts(x - min(offs) for x in offs)
+        _from_counts(offs, min(offs), [])
         for size, offs in cores._runner_offset_vectors(t, n)
         if size == n
     ]

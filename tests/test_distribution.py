@@ -8,7 +8,6 @@ from tcores.distribution import (
     HYPOTHESIS_NOT_MET,
     VERIFIED,
     HookDistribution,
-    brute_force_profile,
     format_proportion,
     formatted_proportions,
     pt_count,
@@ -18,7 +17,7 @@ from tcores.distribution import (
     verify_2hook_vanishing,
     verify_3hook_vanishing,
 )
-from tcores.partitions import enumerate_partitions
+from tcores.partitions import count_t_hooks, enumerate_partitions
 from tcores.series import eta_inverse_power_series, sparse_product
 
 
@@ -152,24 +151,6 @@ def test_residue_counts_sum_to_partition_count():
             assert len(prof) == b
 
 
-def test_profile_matches_brute_force():
-    for t in (2, 3):
-        for b in (2, 3, 5):
-            for n in range(19):
-                fast = residue_profile(t, b, n)
-                slow = brute_force_profile(t, b, n)
-                assert fast == slow
-
-
-def test_brute_force_guard(monkeypatch):
-    with pytest.raises(ValueError, match="guard"):
-        brute_force_profile(2, 3, distribution.BRUTE_FORCE_GUARD + 1)
-    monkeypatch.setattr(distribution, "BRUTE_FORCE_GUARD", 6)
-    assert brute_force_profile(2, 2, 6) == residue_profile(2, 2, 6)
-    with pytest.raises(ValueError, match="guard"):
-        brute_force_profile(2, 2, 7)
-
-
 def test_larger_engine_keeps_lower_counts():
     # a single HookDistribution(t, n_max) serves every n <= n_max: a longer
     # truncation never changes the lower coefficients
@@ -182,7 +163,7 @@ def test_larger_engine_keeps_lower_counts():
 
 
 def test_brute_force_smallest_3hook_vanishing_case():
-    assert brute_force_profile(3, 25, 26)[1] == 0
+    assert not any(count_t_hooks(lam, 3) % 25 == 1 for lam in enumerate_partitions(26))
 
 
 def test_engine_validation():
@@ -193,6 +174,16 @@ def test_engine_validation():
         eng.count(0, 3, 51)
     with pytest.raises(ValueError):
         HookDistribution(1, 10)
+
+
+def test_bad_modulus_is_refused_before_any_series(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a HookDistribution")
+
+    monkeypatch.setattr(distribution, "HookDistribution", no_build)
+    for call in (lambda: pt_count(2, 0, 0, 100000), lambda: residue_profile(2, -1, 100000)):
+        with pytest.raises(ValueError, match="modulus b must be at least 1"):
+            call()
 
 
 def test_format_proportion_half_even():

