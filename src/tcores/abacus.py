@@ -8,13 +8,13 @@ t-hook, so the t-core keeps only each runner's bead count (a t-core is its
 vector of runner counts, as in Garvan, Kim and Stanton, "Cranks and
 t-cores", 1990), and each runner's rows, read as one-runner structure
 numbers, decode to one t-quotient component. The API is decompose, compose
-and t_core; the runner layout stays private.
+and t_core; the runner layout and the bead count stay private.
 
 Bead-count convention: abaci are padded with zero parts so the bead count s
-is the least multiple of t with s >= #parts. Fixing s mod t pins down the
-labelling of the quotient components (changing s by one cyclically permutes
-the runners); any two paddings that agree mod t produce the same labelled
-quotient.
+is the least multiple of t with s >= #parts; one step, _beads, applies it
+for every routine here. Fixing s mod t pins down the labelling of the
+quotient components (changing s by one cyclically permutes the runners);
+any two paddings that agree mod t produce the same labelled quotient.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ class CoreQuotient(NamedTuple):
         return sum(map(sum, self.quotient))
 
 
-def default_bead_count(num_parts: int, t: int) -> int:
-    """Least multiple of t that is >= num_parts."""
-    return -(-num_parts // t) * t
-
-
 # Most runners one abacus may have. Storage is linear in t, about 160 bytes
 # a runner: `tcores decompose 1 --t 100000` took 0.6 s and 31 MB peak on a
 # 2.1 GHz Xeon, and --t 1000000 took 6 s and 170 MB.
@@ -51,13 +46,14 @@ MAX_RUNNERS = 100_000
 
 
 def _beads(lam: Partition, t: int) -> tuple[int, Iterator[int]]:
-    # (k, the parts' structure numbers) at the default bead count; the k < t
-    # padding beads k-1, ..., 0 sit in row 0 of runners 0..k-1, below the rest.
+    # (k, the parts' structure numbers) for s beads, the least multiple of t that
+    # is >= #parts; the k < t padding beads k-1, ..., 0 sit in row 0 of runners
+    # 0..k-1, below the rest.
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
     if t > MAX_RUNNERS:
         raise ValueError(f"t={t} is over the limit of {MAX_RUNNERS} runners")
-    s = default_bead_count(len(lam), t)
+    s = -(-len(lam) // t) * t
     return s - len(lam), map(add, lam, range(s - 1, -1, -1))
 
 

@@ -57,12 +57,10 @@ def cmd_hooks(args) -> tuple[int, list[str]]:
             f"the hook grid has {lam.size} cells, over the budget of "
             f"{partitions.HOOK_CELL_BUDGET}"
         )
-    for t in ts:
-        if t < 2:
-            raise ValueError(f"t must be at least 2, got {t}")
+    # every count, and so every refusal of a t, comes before the grid is built
+    t_hooks = [(t, partitions.count_t_hooks(lam, t)) for t in ts]
     rows = hook_rows(lam)
     lengths = sorted(h for row in rows for h in row)
-    t_hooks = [(t, sum(1 for h in lengths if h % t == 0)) for t in ts]
     if args.format == "json":
         payload = {
             "partition": list(lam),

@@ -5,13 +5,13 @@ numbers marked for every n up to a bound), t = 3 (the sum of (d/3) over
 the divisors d of 3n+1) and t = 5 (the sum of (d/5) (n+1)/d over the
 divisors d of n+1), each per n as a product over the prime powers of 3n+1
 or n+1, or sieved for every n up to a bound; a positive definite
-quadratic-form count equivalent to the t = 3 case; and two generic routes —
+quadratic-form count, one isqrt per b, equal to c_3; and two generic routes —
 the product generating function and the runner theta-sum DP — that work for
 every t and serve as cross-checks; count_t_cores returns a plain int.
 core_counts is the one route to a table c_t(0..N), read by the hook tables,
 the vanishing sweeps and the witness walk's budget.
 enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
-test oracle.
+test oracle, up to a size limit that the series cost model sets at every t.
 """
 
 from __future__ import annotations
@@ -159,39 +159,26 @@ def c5_divisor_sums(n_max: int) -> list[int]:
     return counts
 
 
-def c3_qf_solutions(n: int) -> list[tuple[int, int]]:
-    """All (a, b) in Z>=0 x Z>=0 with a^2 - a*b + b^2 + b = n.
+def c3_qf_count(n: int) -> int:
+    """Number of (a, b) in Z>=0 x Z>=0 with a^2 - a*b + b^2 + b = n.
 
     The change of variables x = -a + 2b + 1, y = a + b + 1 turns each into
     3n + 1 = x^2 - x*y + y^2, the norm form of discriminant -3.
-    The form dominates (a^2 + b^2)/2, so the search box
-    0 <= a, b <= 1 + ceil(2*sqrt(n+1)) is complete with room to spare.
-    Solutions come ordered by b, then ascending a.
 
     For fixed b, a solves a^2 - b*a + (b^2 + b - n) = 0, whose discriminant
-    4n - 3b^2 - 4b falls as b grows; one isqrt per b replaces a scan over a.
-    The discriminant is b^2 mod 4, so a square root has the parity of b.
+    D = 4n - 3b^2 - 4b falls as b grows; one isqrt per b replaces a scan over
+    a. D is b^2 mod 4, so a square root r of D has the parity of b: the root
+    a = (b + r)/2 always counts, and a = (b - r)/2 also counts when 0 < r <= b.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    bound = 1 + isqrt(4 * (n + 1)) + 1
-    solutions = []
-    for b in range(bound + 1):
-        disc = 4 * n - 3 * b * b - 4 * b
-        if disc < 0:
-            break
+    count, b = 0, 0
+    while (disc := 4 * n - 3 * b * b - 4 * b) >= 0:
         root = isqrt(disc)
-        if root * root != disc:
-            continue
-        for a in sorted({(b - root) // 2, (b + root) // 2}):
-            if 0 <= a <= bound:
-                solutions.append((a, b))
-    return solutions
-
-
-def c3_qf_count(n: int) -> int:
-    """Number of representations n = a^2 - a*b + b^2 + b over Z>=0 x Z>=0."""
-    return len(c3_qf_solutions(n))
+        if root * root == disc:
+            count += 2 if 0 < root <= b else 1
+        b += 1
+    return count
 
 
 # Most coefficient updates, as _series_updates bounds them, that one
@@ -222,17 +209,12 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    _check_series_budget(t, truncation)
-    return sparse_product([(t, t), (1, -1)], truncation)
-
-
-def _check_series_budget(t: int, truncation: int) -> None:
-    updates = _series_updates(t, truncation)
-    if updates > SERIES_UPDATE_BUDGET:
+    if (updates := _series_updates(t, truncation)) > SERIES_UPDATE_BUDGET:
         raise ValueError(
             f"the c_{t} series to n={truncation} makes up to {updates} coefficient "
             f"updates, over the budget of {SERIES_UPDATE_BUDGET}"
         )
+    return sparse_product([(t, t), (1, -1)], truncation)
 
 
 def core_counts(t: int, n_max: int) -> Sequence[int]:
@@ -301,10 +283,14 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
     The cost is proportional to t times the number of cores found; raises
     ValueError before yielding anything when that exceeds
     CORE_ENUMERATION_BUDGET, reading core_counts only up to the first
-    probed size over it, or when the c_t series to max_size is itself over
-    SERIES_UPDATE_BUDGET (checked first, with no work).
+    probed size over it, or when max_size is over the listing's size limit
+    (checked first, with no work). That limit is the series cost model's:
+    _series_updates(t, max_size) over SERIES_UPDATE_BUDGET, for every t.
     """
-    _check_series_budget(t, max_size)
+    if (updates := _series_updates(t, max_size)) > SERIES_UPDATE_BUDGET:
+        raise ValueError(f"listing the {t}-cores of sizes <= {max_size} is over the size "
+                         f"limit set by the series cost model ({updates} coefficient "
+                         f"updates, over the budget of {SERIES_UPDATE_BUDGET})")
     if over := _first_over_budget(max_size, lambda k: t * sum(core_counts(t, k))):
         k, entries = over
         raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes at least "

@@ -67,11 +67,11 @@ COUNTEREXAMPLE = "counterexample"
 NMAX_BUDGET = 100_000
 
 
-def _check_n_max(n_max: int) -> None:
+def _check_n_max(n_max: int, name: str = "n_max") -> None:
     if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+        raise ValueError(f"{name} must be non-negative, got {n_max}")
     if n_max > NMAX_BUDGET:
-        raise ValueError(f"n_max={n_max} is over the budget of {NMAX_BUDGET}")
+        raise ValueError(f"{name}={n_max} is over the budget of {NMAX_BUDGET}")
 
 
 def _check_modulus(b: int) -> None:
@@ -128,6 +128,7 @@ def pt_count(t: int, a: int, b: int, n: int) -> int:
     HookDistribution(t, n_max) yourself and call its count.
     """
     _check_modulus(b)
+    _check_n_max(n, "n")
     return HookDistribution(t, n).count(a, b, n)
 
 
@@ -155,6 +156,7 @@ def residue_profile(t: int, b: int, n: int) -> tuple[int, ...]:
     HookDistribution(t, n_max) yourself and call its residue_counts.
     """
     _check_modulus(b)
+    _check_n_max(n, "n")
     return tuple(HookDistribution(t, n).residue_counts(b, n))
 
 

@@ -13,7 +13,6 @@ from tcores.abacus import (
     _surplus,
     compose,
     decompose,
-    default_bead_count,
     t_core,
 )
 from tcores.cores import enumerate_t_cores
@@ -24,6 +23,11 @@ from tcores.partitions import Partition, count_t_hooks, enumerate_partitions, ho
 # the set B of its structure numbers lam_i - i + s.
 def beta_set(lam, s):
     return {p - i + s for i, p in enumerate([*lam, *[0] * (s - len(lam))], 1)}
+
+
+def bead_count(num_parts, t):
+    # the abacus module's padding: the least multiple of t that is >= num_parts
+    return -(-num_parts // t) * t
 
 
 def beta_decode(beta):
@@ -50,7 +54,7 @@ def beta_compose(core, quotient, t):
     # pad the core's beta set, t beads at a time to keep the labelling, until
     # runner c holds as many beads as quotient[c] has parts, then put
     # quotient[c]'s beta set on runner c
-    s = default_bead_count(len(core), t)
+    s = bead_count(len(core), t)
     while True:
         beta = beta_set(core, s)
         counts = [sum(b % t == c for b in beta) for c in range(t)]
@@ -109,9 +113,14 @@ def test_abacus_from_partition_examples():
 
 
 def test_default_bead_count_is_least_multiple_of_t():
-    assert default_bead_count(0, 3) == 0
-    assert default_bead_count(4, 3) == 6
-    assert default_bead_count(6, 3) == 6
+    assert sum(_counts(Partition(), 3)) == 0
+    assert sum(_counts(Partition((1, 1, 1, 1)), 3)) == 6
+    assert sum(_counts(Partition((3, 2, 2, 1, 1, 1)), 3)) == 6
+    for n in range(9):
+        for lam in enumerate_partitions(n):
+            for t in (2, 3, 4, 7):
+                s = sum(_counts(lam, t))
+                assert s % t == 0 and s - t < len(lam) <= s, (lam, t)
 
 
 def test_partition_from_abacus_examples():
@@ -128,7 +137,7 @@ def test_abacus_round_trip_any_padding():
             for t in (2, 3, 4):
                 for s in range(len(lam), len(lam) + 2 * t + 1):
                     assert beta_decode(beta_set(lam, s)) == lam
-                beta = beta_set(lam, default_bead_count(len(lam), t))
+                beta = beta_set(lam, bead_count(len(lam), t))
                 rows = _rows(lam, t)
                 assert {t * r + c for c, rs in enumerate(rows) for r in rs} == beta
 
@@ -148,7 +157,7 @@ def test_every_slide_removes_one_rim_hook():
     for n in range(2, 10):
         for lam in enumerate_partitions(n):
             for t in (2, 3):
-                beta = beta_set(lam, default_bead_count(len(lam), t))
+                beta = beta_set(lam, bead_count(len(lam), t))
                 for b in beta_slides(beta, t):
                     slid = beta_decode(beta - {b} | {b - t})
                     assert slid.size == n - t
@@ -178,7 +187,7 @@ def test_t_core_independent_of_slide_order():
             for t in (2, 3):
                 expected = t_core(lam, t)
                 for _ in range(3):
-                    beta = beta_set(lam, default_bead_count(len(lam), t))
+                    beta = beta_set(lam, bead_count(len(lam), t))
                     while moves := beta_slides(beta, t):
                         b = rng.choice(moves)
                         beta = beta - {b} | {b - t}
@@ -268,7 +277,7 @@ def test_padding_invariance():
     for n in range(11):
         for lam in enumerate_partitions(n):
             for t in (2, 3, 4):
-                s = default_bead_count(len(lam), t)
+                s = bead_count(len(lam), t)
                 beta1, beta2 = beta_set(lam, s), beta_set(lam, s + t)
                 assert beta_quotient(beta1, t) == beta_quotient(beta2, t)
                 assert beta_decode(beta_core(beta1, t)) == beta_decode(
@@ -321,7 +330,7 @@ def test_runner_decoding_matches_bead_view():
     for n in range(15):
         for lam in enumerate_partitions(n):
             for t in range(2, 8):
-                beta = beta_set(lam, default_bead_count(len(lam), t))
+                beta = beta_set(lam, bead_count(len(lam), t))
                 core = beta_decode(beta_core(beta, t))
                 cq = decompose(lam, t)
                 assert cq.core == core
@@ -342,7 +351,7 @@ def test_runners_and_core_from_counts_examples():
 
 @given(long_or_wide, st.integers(2, 11))
 def test_abacus_matches_beta_sets(lam, t):
-    beta = beta_set(lam, default_bead_count(len(lam), t))
+    beta = beta_set(lam, bead_count(len(lam), t))
     rows = _rows(lam, t)
     assert {t * r + c for c, rs in enumerate(rows) for r in rs} == beta
     assert all(rs == sorted(rs, reverse=True) for rs in rows)
@@ -361,7 +370,7 @@ def test_abacus_matches_beta_sets(lam, t):
 def test_compose_matches_beta_sets(lam, t, comps):
     # any t-core with any quotient, including components longer than the
     # core's runners, which forces extra padding
-    core = beta_decode(beta_core(beta_set(lam, default_bead_count(len(lam), t)), t))
+    core = beta_decode(beta_core(beta_set(lam, bead_count(len(lam), t)), t))
     quotient = (*comps[:t], *[Partition()] * (t - len(comps[:t])))
     assert compose(CoreQuotient(core, quotient)) == beta_compose(core, quotient, t)
 
@@ -420,7 +429,7 @@ def _assert_valid(x):
 
 
 def _check_built_outputs(lam, t):
-    beta = beta_set(lam, default_bead_count(len(lam), t))
+    beta = beta_set(lam, bead_count(len(lam), t))
     cq = decompose(lam, t)
     assert cq.core == beta_decode(beta_core(beta, t))
     assert cq.quotient == beta_quotient(beta, t)

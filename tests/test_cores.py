@@ -11,7 +11,6 @@ from tcores.cores import (
     c3_divisor_sum,
     c3_divisor_sums,
     c3_qf_count,
-    c3_qf_solutions,
     c5_divisor_sums,
     count_t_cores,
     count_t_cores_up_to,
@@ -102,46 +101,21 @@ def test_c3_qf_count_examples():
     assert c3_qf_count(0) == 1
     assert c3_qf_count(1) == 1
     assert c3_qf_count(2) == 2
-    assert c3_qf_solutions(1) == [(1, 0)]
-
-
-def test_qf_solutions_norm_form_identity():
-    # x = -a+2b+1, y = a+b+1 carries each solution to x^2 - xy + y^2 = 3n+1
-    for n in range(200):
-        for a, b in c3_qf_solutions(n):
-            assert a * a - a * b + b * b + b == n
-            x, y = -a + 2 * b + 1, a + b + 1
-            assert x * x - x * y + y * y == 3 * n + 1
 
 
 def test_c3_qf_count_box_is_stable():
-    # enlarging the box of a direct count must never find new solutions
-    def scan_count(n, bound):
-        return sum(
-            1
-            for b in range(bound + 1)
-            for a in range(bound + 1)
-            if a * a - a * b + b * b + b == n
-        )
-
-    for n in range(151):
-        default = c3_qf_count(n)
-        for bound in (isqrt(4 * (n + 1)) + 9, 2 * isqrt(4 * (n + 1)) + 9):
-            assert default == scan_count(n, bound), (n, bound)
-
-
-def test_c3_qf_solutions_match_box_scan():
-    # a scan over every (a, b) in a box larger than the search box, ordered
-    # by b then ascending a: the search box misses no solution
+    # the count equals a direct scan of every (a, b) in a box, at two box
+    # sizes: enlarging the box never finds a new solution
+    top = 2 * isqrt(4 * 400) + 9
+    by_value = {}
+    for b in range(top + 1):
+        for a in range(top + 1):
+            by_value.setdefault(a * a - a * b + b * b + b, []).append((a, b))
     for n in range(400):
-        bound = isqrt(4 * (n + 1)) + 9
-        scan = [
-            (a, b)
-            for b in range(bound + 1)
-            for a in range(bound + 1)
-            if a * a - a * b + b * b + b == n
-        ]
-        assert c3_qf_solutions(n) == scan, n
+        count = c3_qf_count(n)
+        for bound in (isqrt(4 * (n + 1)) + 9, 2 * isqrt(4 * (n + 1)) + 9):
+            scan = sum(a <= bound and b <= bound for a, b in by_value.get(n, ()))
+            assert count == scan, (n, bound)
 
 
 def test_trial_division_limit():

@@ -186,6 +186,20 @@ def test_bad_modulus_is_refused_before_any_series(monkeypatch):
             call()
 
 
+def test_bad_n_is_refused_by_its_name_before_any_series(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a HookDistribution")
+
+    monkeypatch.setattr(distribution, "HookDistribution", no_build)
+    over = distribution.NMAX_BUDGET + 1
+    for n, message in ((-1, "n must be non-negative, got -1"),
+                       (over, f"n={over} is over the budget of {distribution.NMAX_BUDGET}")):
+        for call in (lambda: pt_count(2, 0, 3, n), lambda: residue_profile(2, 3, n)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+
 def test_format_proportion_half_even():
     assert format_proportion(1, 3) == "0.3333"
     assert format_proportion(2, 3) == "0.6667"
