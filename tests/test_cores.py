@@ -103,19 +103,36 @@ def test_c3_qf_count_examples():
     assert c3_qf_count(2) == 2
 
 
-def test_c3_qf_count_box_is_stable():
-    # the count equals a direct scan of every (a, b) in a box, at two box
-    # sizes: enlarging the box never finds a new solution
-    top = 2 * isqrt(4 * 400) + 9
+def _qf_solutions_by_value(n_max):
+    # every (a, b) in a box twice the search box of n_max, keyed by a^2 - ab + b^2 + b
+    top = 2 * isqrt(4 * n_max) + 9
     by_value = {}
     for b in range(top + 1):
         for a in range(top + 1):
             by_value.setdefault(a * a - a * b + b * b + b, []).append((a, b))
+    return by_value
+
+
+def test_c3_qf_count_box_is_stable():
+    # enlarging the box of a direct count never finds a new solution
+    by_value = _qf_solutions_by_value(400)
     for n in range(400):
-        count = c3_qf_count(n)
-        for bound in (isqrt(4 * (n + 1)) + 9, 2 * isqrt(4 * (n + 1)) + 9):
-            scan = sum(a <= bound and b <= bound for a, b in by_value.get(n, ()))
-            assert count == scan, (n, bound)
+        solutions = by_value.get(n, ())
+        bound = isqrt(4 * (n + 1)) + 9
+        assert all(a <= bound and b <= bound for a, b in solutions), n
+
+
+def test_c3_qf_solutions_match_box_scan():
+    # the count equals a scan over every (a, b) in a box larger than the
+    # search box, and x = -a+2b+1, y = a+b+1 carries each scanned solution
+    # to x^2 - xy + y^2 = 3n+1
+    by_value = _qf_solutions_by_value(400)
+    for n in range(400):
+        solutions = by_value.get(n, [])
+        assert c3_qf_count(n) == len(solutions), n
+        for a, b in solutions:
+            x, y = -a + 2 * b + 1, a + b + 1
+            assert x * x - x * y + y * y == 3 * n + 1, (n, a, b)
 
 
 def test_trial_division_limit():
