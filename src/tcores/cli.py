@@ -15,10 +15,10 @@ import argparse
 import gc
 import sys
 
-from . import cores, distribution, nekrasov, partitions
-from .abacus import decompose, t_core
-from .partitions import Partition, hook_rows
+from . import abacus, cores, distribution, nekrasov, partitions
 
+# highest q-degree `verify no-identity` and `no-check` check by default
+DEFAULT_MMAX = 12
 DEFAULT_TABLE_ROWS = (300, 600, 900, 4500, 4800, 5100)
 # Most (row, residue) cells one table may hold: 10^6 took about 2.3 s and
 # 218 MB peak on a 2.1 GHz Xeon.
@@ -31,13 +31,13 @@ def _dumps(payload, **kwargs) -> str:
     return json.dumps(payload, **kwargs)
 
 
-def _parse_partition(text: str) -> Partition:
+def _parse_partition(text: str) -> partitions.Partition:
     text = text.strip()
     if text in ("", "-"):
-        return Partition()
+        return partitions.Partition()
     try:
         parts = [int(tok) for tok in text.split(",")]
-        return Partition(parts)
+        return partitions.Partition(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
 
@@ -59,7 +59,7 @@ def cmd_hooks(args) -> tuple[int, list[str]]:
         )
     # every count, and so every refusal of a t, comes before the grid is built
     t_hooks = [(t, partitions.count_t_hooks(lam, t)) for t in ts]
-    rows = hook_rows(lam)
+    rows = partitions.hook_rows(lam)
     lengths = sorted(h for row in rows for h in row)
     if args.format == "json":
         payload = {
@@ -77,7 +77,7 @@ def cmd_hooks(args) -> tuple[int, list[str]]:
 
 def cmd_decompose(args) -> tuple[int, list[str]]:
     lam, t = args.partition, args.t
-    core, quotient = cq = decompose(lam, t)
+    core, quotient = cq = abacus.decompose(lam, t)
     identity = f"{lam.size} = {core.size} + {t}*{cq.quotient_size}"
     if args.format == "text":
         lines = [
@@ -102,7 +102,7 @@ def cmd_decompose(args) -> tuple[int, list[str]]:
 
 
 def cmd_core(args) -> tuple[int, list[str]]:
-    core = t_core(args.partition, args.t)
+    core = abacus.t_core(args.partition, args.t)
     if args.format == "json":
         return 0, [_dumps({"t": args.t, "core": list(core)})]
     return 0, [",".join(map(str, core)) or "-"]
@@ -130,6 +130,8 @@ def cmd_table(args) -> tuple[int, list[str]]:
     residues = range(args.b) if args.a is None else (args.a,)
     if (cells := args.b * len(rows)) > TABLE_CELL_BUDGET:
         raise ValueError(f"the table has {cells} cells, over the budget of {TABLE_CELL_BUDGET}")
+    for n in rows:  # every row is refused before the series are built
+        distribution._check_n_max(n, "n")
     engine = distribution.HookDistribution(args.t, max(rows))
     formatted = []
     for n in rows:
@@ -285,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default 2000 (part1/part2) or 500 (core-formulas)",
     )
-    p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_MMAX)
+    p.add_argument("--mmax", type=int, default=DEFAULT_MMAX)
     p.add_argument("--series-nmax", type=int, default=200, dest="series_nmax")
     p.add_argument("--tmax", type=int, default=7)
     add_common(p, cmd_verify)
 
     p = sub.add_parser("no-check", help="shorthand for 'verify no-identity'")
-    p.add_argument("--mmax", type=int, default=nekrasov.DEFAULT_MMAX)
+    p.add_argument("--mmax", type=int, default=DEFAULT_MMAX)
     add_common(p, cmd_verify)
     p.set_defaults(target="no-identity", nmax=None)
 

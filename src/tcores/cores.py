@@ -20,9 +20,7 @@ from itertools import chain
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .abacus import _from_counts
-from .partitions import Partition, enumerate_partitions
-from .series import eta_inverse_power_series, sparse_product
+from . import abacus, partitions, series
 
 
 # Largest n that _factor trial-divides, for is_prime(n), for 3n+1 in
@@ -214,7 +212,7 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
             f"the c_{t} series to n={truncation} makes up to {updates} coefficient "
             f"updates, over the budget of {SERIES_UPDATE_BUDGET}"
         )
-    return sparse_product([(t, t), (1, -1)], truncation)
+    return series.sparse_product([(t, t), (1, -1)], truncation)
 
 
 def core_counts(t: int, n_max: int) -> Sequence[int]:
@@ -261,7 +259,7 @@ def _first_over_budget(n: int, charge: Callable[[int], int]) -> tuple[int, int] 
 
 def _check_listing_budget(n: int) -> None:
     """Refuse to list the partitions of n, up to n p(n) parts, over the budget."""
-    if over := _first_over_budget(n, lambda k: k * eta_inverse_power_series(1, k)[k]):
+    if over := _first_over_budget(n, lambda k: k * series.eta_inverse_power_series(1, k)[k]):
         k, parts = over
         raise ValueError(f"listing the partitions of {n} writes up to n*p(n) parts "
                          f"({parts} at k={k}), over the budget of {CORE_ENUMERATION_BUDGET}")
@@ -410,7 +408,7 @@ def count_t_cores_up_to(t: int, max_size: int) -> list[int]:
     return [int.from_bytes(data[i : i + nbytes], "little") for i in evens]
 
 
-def enumerate_t_cores(n: int, t: int) -> list[Partition]:
+def enumerate_t_cores(n: int, t: int) -> list[partitions.Partition]:
     """All t-core partitions of n, in reverse-lexicographic order.
 
     Each runner offset vector of size n decodes to one core; the cost is
@@ -421,11 +419,11 @@ def enumerate_t_cores(n: int, t: int) -> list[Partition]:
     _check_n_t(n, t)
     if t > n:
         _check_listing_budget(n)
-        return list(enumerate_partitions(n))
+        return list(partitions.enumerate_partitions(n))
     cores = []
     for size, offs in _runner_offset_vectors(t, n):
         if size == n:
-            cores.append(_from_counts(offs, min(offs), []))
+            cores.append(abacus._from_counts(offs, min(offs), []))
     return sorted(cores, reverse=True)
 
 
@@ -459,8 +457,11 @@ def verify_core_formulas(
     DP. For n <= series_n_max and 2 <= t <= t_max: the generating-function
     coefficients must match the DP. Raises ValueError before any work when
     the DP's row-entry estimates, summed over every call, exceed
-    CORE_COUNT_BUDGET.
+    CORE_COUNT_BUDGET, or when n_max or series_n_max is negative.
     """
+    for name, value in (("n_max", n_max), ("series_n_max", series_n_max)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     _check_count_budget(
         chain(
             ((2, n_max), (3, n_max)),

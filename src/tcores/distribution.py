@@ -31,8 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
-from . import cores
-from .series import eta_inverse_power_series
+from . import cores, series
 
 __all__ = [
     "HookDistribution",
@@ -93,7 +92,7 @@ class HookDistribution:
         self.t = t
         self.n_max = n_max
         self.core_counts = _core_count_array(t, n_max)
-        self.tuple_counts = eta_inverse_power_series(t, n_max // t)
+        self.tuple_counts = series.eta_inverse_power_series(t, n_max // t)
 
     def _check(self, b: int, n: int) -> None:
         _check_modulus(b)

@@ -32,8 +32,6 @@ from .series import eta_inverse_power_series
 if TYPE_CHECKING:
     from fractions import Fraction
 
-DEFAULT_MMAX = 12
-
 
 # Most hook factors (h^2 - z), p(m) * m summed over m <= m_max, that one
 # call may multiply in: m_max = 31 is 961,622 factors and check_identity took

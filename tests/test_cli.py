@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tcores import abacus, cli, cores, distribution, nekrasov, partitions
+from tcores import abacus, cli, cores, distribution, nekrasov, partitions, series
 
 
 def run(capsys, *argv):
@@ -53,7 +53,6 @@ def test_hooks_cell_budget(capsys, monkeypatch):
         calls.append(lam)
         return real(lam)
 
-    monkeypatch.setattr(cli, "hook_rows", counting)
     monkeypatch.setattr(partitions, "hook_rows", counting)
     # one part past the real budget is refused before any grid is built
     assert cli.main(["hooks", str(partitions.HOOK_CELL_BUDGET + 1)]) == 2
@@ -378,9 +377,17 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("did work before the budget check")
 
+    real_product = series.sparse_product
+
+    def p_series_only(factors, truncation):
+        # the budget checks read p(k) off 1/E(q); any other product is work
+        if list(factors) != [(1, -1)]:
+            no_work()
+        return real_product(factors, truncation)
+
     monkeypatch.setattr(nekrasov, "_scaled_product_sides", no_work)
     monkeypatch.setattr(nekrasov, "_scaled_partition_side", no_work)
-    monkeypatch.setattr(cores, "sparse_product", no_work)
+    monkeypatch.setattr(series, "sparse_product", p_series_only)
     monkeypatch.setattr(cores, "c2", no_work)
     monkeypatch.setattr(cores, "c2_counts", no_work)
     monkeypatch.setattr(cores, "c3_divisor_sum", no_work)
@@ -449,6 +456,26 @@ def test_table_bad_modulus_builds_no_engine(capsys, monkeypatch, argv, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert builds == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("table --n 100000,-1", "n must be non-negative, got -1"),
+        ("table --t 4 --n 60000,-1", "n must be non-negative, got -1"),
+        ("table --n -1", "n must be non-negative, got -1"),
+        ("table --t 3 --b 9 --n 5,100001", "n=100001 is over the budget of 100000"),
+    ],
+)
+def test_table_bad_row_builds_no_engine(capsys, monkeypatch, argv, message):
+    def no_build(*args):
+        raise AssertionError("built the series before checking every row")
+
+    monkeypatch.setattr(distribution, "HookDistribution", no_build)
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_builds_no_engine(capsys, monkeypatch):
@@ -546,6 +573,26 @@ def test_verify_core_formulas_over_budget(capsys, monkeypatch):
         assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--nmax", "n_max must be non-negative, got -1"),
+        ("--series-nmax", "series_n_max must be non-negative, got -1"),
+    ],
+)
+def test_verify_core_formulas_names_the_negative_size(capsys, monkeypatch, flag, message):
+    def no_work(*args):
+        raise AssertionError("did work before the size check")
+
+    # not even the budget estimate runs first
+    for name in ("_dp_row_entries", "count_t_cores_up_to", "ct_count_series", "c3_divisor_sums"):
+        monkeypatch.setattr(cores, name, no_work)
+    assert cli.main(["verify", "core-formulas", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_decompose_runner_limit(capsys, monkeypatch):
     monkeypatch.setattr(abacus, "MAX_RUNNERS", 5)
     code, out = run(capsys, "decompose", "3,1", "--t", "5")
@@ -591,11 +638,14 @@ def test_cli_import_skips_dataclasses():
 
 def test_cli_import_loads_every_module_but_no_unused_stdlib():
     # A cold start pays for json, fractions (with decimal) and pathlib only
-    # where a command uses them. Every tcores module must still load, though:
-    # bench/trace_child.py wraps functions only in the tcores modules that
-    # `import tcores.cli` leaves in sys.modules, so a module imported lazily
-    # would read 0 calls in every span. Neither the import nor main freezes
-    # the heap; only the process entry, cli.run, does.
+    # where a command uses them. Every tcores module must still be in
+    # sys.modules, though: bench/trace_child.py wraps functions only in the
+    # tcores modules that `import tcores.cli` leaves there, so a module
+    # imported inside a function would read 0 calls in every span. The
+    # package puts each library module there as a lazy module, which runs on
+    # its first attribute read (tests/test_startup.py); the tracer's reads
+    # run it before wrapping. Neither the import nor main freezes the heap;
+    # only the process entry, cli.run, does.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import tcores.cli; "

@@ -3,7 +3,7 @@ from operator import add
 
 import pytest
 
-from tcores import cores, distribution
+from tcores import cores, distribution, series
 from tcores.abacus import _from_counts
 from tcores.cores import (
     c2,
@@ -331,7 +331,7 @@ def test_listing_at_t_2_3_builds_no_series(monkeypatch, n, t):
         raise AssertionError("built the c_t series")
 
     monkeypatch.setattr(cores, "ct_count_series", no_series)
-    monkeypatch.setattr(cores, "sparse_product", no_series)
+    monkeypatch.setattr(series, "sparse_product", no_series)
     found = enumerate_t_cores(n, t)
     assert len(found) == count_t_cores(n, t) > 0
     assert all(sum(core) == n and count_t_hooks(core, t) == 0 for core in found)
@@ -415,7 +415,7 @@ def test_listing_budget_edge_without_p_of_n(monkeypatch):
         sizes.append(truncation)
         return eta_inverse_power_series(t, truncation)
 
-    monkeypatch.setattr(cores, "eta_inverse_power_series", recording)
+    monkeypatch.setattr(series, "eta_inverse_power_series", recording)
     with pytest.raises(ValueError, match="budget"):
         enumerate_t_cores(100_000, 100_001)
     assert max(sizes) < 100  # p(k) only to the first k over the budget
@@ -464,7 +464,7 @@ def test_series_budget_boundary(monkeypatch):
     assert ct_count_series(5, 40) == tuple(count_t_cores_up_to(5, 40))
     monkeypatch.setattr(cores, "SERIES_UPDATE_BUDGET", updates - 1)
     calls = []
-    monkeypatch.setattr(cores, "sparse_product", lambda *a: calls.append(a))
+    monkeypatch.setattr(series, "sparse_product", lambda *a: calls.append(a))
     with pytest.raises(ValueError, match="budget"):
         ct_count_series(5, 40)
     # the count at t = 5 reads its closed form; t = 7 still reads the series

@@ -1,0 +1,129 @@
+"""Which tcores modules a process runs, and what the trace harness sees.
+
+The package puts each library module in sys.modules as a lazy module
+(tcores/__init__.py): it is there from `import tcores` on, but its code runs
+only when something first reads one of its attributes.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import tcores
+
+SRC = Path(tcores.__file__).resolve().parents[1]
+BENCH = SRC.parent / "bench"
+LIBRARY = ("abacus", "cores", "distribution", "nekrasov", "partitions", "series")
+
+
+def modules_run(code: str) -> tuple[list[str], list[str]]:
+    """Run `code` under `python -S`; return the tcores.* modules run and still lazy."""
+    probe = (
+        f"import sys, types; sys.path[:0] = [{str(SRC)!r}, {str(BENCH)!r}]\n"
+        f"{code}\n"
+        "mods = {n: m for n, m in sys.modules.items() if n.startswith('tcores.')}\n"
+        "print(sorted(n for n, m in mods.items() if type(m) is types.ModuleType))\n"
+        "print(sorted(n for n, m in mods.items() if type(m) is not types.ModuleType))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    )
+    run, lazy = result.stdout.splitlines()[-2:]
+    return ast.literal_eval(run), ast.literal_eval(lazy)
+
+
+def test_import_runs_no_submodule():
+    assert modules_run("import tcores") == ([], [f"tcores.{m}" for m in LIBRARY])
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        ("--help", ()),
+        ("verify part1 --ell 3 --nmax 50", ("cores", "distribution")),
+        ("verify part2 --ell 2 --nmax 50", ("cores", "distribution")),
+        ("table --n 30,60", ("cores", "distribution", "series")),
+        ("cores-count --n 6 --t 2", ("cores",)),
+        ("verify core-formulas --nmax 20 --series-nmax 10 --tmax 4", ("cores", "series")),
+        ("no-check --mmax 4", ("nekrasov", "partitions", "series")),
+    ],
+)
+def test_each_command_runs_only_its_modules(argv, runs):
+    code = (
+        "import tcores.cli\n"
+        f"try: tcores.cli.main({argv.split()!r})\n"
+        "except SystemExit: pass"  # --help exits from argparse
+    )
+    run, lazy = modules_run(code)
+    assert run == sorted(["tcores.cli", *(f"tcores.{m}" for m in runs)])
+    assert lazy == [f"tcores.{m}" for m in LIBRARY if m not in runs]
+
+
+def test_driver_runs_only_abacus_and_partitions():
+    code = "import bijection_driver; bijection_driver.main(" + repr(
+        ["--max-size", "5", "--sample", "2", "--seed", "1"]) + ")"
+    assert modules_run(code) == (
+        ["tcores.abacus", "tcores.partitions"],
+        ["tcores.cores", "tcores.distribution", "tcores.nekrasov", "tcores.series"],
+    )
+
+
+def test_quick_tour_names_resolve_to_their_submodules():
+    for name in tcores.__all__:
+        value = getattr(tcores, name)
+        assert vars(sys.modules[value.__module__])[name] is value, name
+    namespace = {}
+    exec("from tcores import *", namespace)
+    assert set(tcores.__all__) <= set(namespace) and set(tcores.__all__) <= set(dir(tcores))
+    assert all(isinstance(getattr(tcores, m), types.ModuleType) for m in LIBRARY)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        tcores.nope
+
+
+# Nonzero span calls and counters of one traced operation, as recorded before
+# the library modules became lazy; every other span and counter reads 0.
+TRACED = {
+    "cli verify part1 --ell 3": (
+        {"distribution.sweep": 1, "cli.main": 1},
+        {"distribution.sweep.cells": 3, "distribution.sweep.hypothesis_cells": 3,
+         "distribution.sweep.values_checked": 2001},
+    ),
+    "cli table --n 30,60": (
+        {"series.eta_inverse_power_series": 1, "series.sparse_product": 1,
+         "distribution.HookDistribution": 1, "distribution.residue_counts": 2,
+         "distribution.format_proportion": 6, "cli.main": 1},
+        {"series.coeff_updates": 990},
+    ),
+    "cli no-check --mmax 4": (
+        {"series.eta_inverse_power_series": 1, "series.sparse_product": 1,
+         "partitions.enumerate_partitions": 5, "partitions.hook_rows": 12,
+         "nekrasov.check_identity": 1, "cli.main": 1},
+        {"series.coeff_updates": 14},
+    ),
+    "driver --max-size 5 --sample 2 --seed 1": (
+        {"abacus.decompose": 126, "abacus.compose": 126, "abacus.t_core": 126,
+         "partitions.enumerate_partitions": 6, "partitions.count_t_hooks": 126},
+        {"abacus.beads": 1710},
+    ),
+}
+
+
+@pytest.mark.parametrize("op", TRACED)
+def test_tracer_sees_every_span(op):
+    result = subprocess.run(
+        [sys.executable, str(BENCH / "trace_child.py"), *op.split()],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    line = result.stderr.splitlines()[-1]
+    assert line.startswith("TRACE ")
+    trace = json.loads(line.removeprefix("TRACE "))
+    calls = {name: calls for name, (_, _, calls) in trace["spans"].items() if calls}
+    counters = {name: n for name, n in trace["counters"].items() if n}
+    assert (calls, counters) == TRACED[op]
