@@ -58,6 +58,7 @@ distribution = _lazy("distribution")
 nekrasov = _lazy("nekrasov")
 partitions = _lazy("partitions")
 series = _lazy("series")
+sieves = _lazy("sieves")
 
 
 def __getattr__(name: str):

@@ -1,15 +1,13 @@
 """Counting t-core partitions.
 
-Closed forms for t = 2 (triangular-number test on 8n+1, or the triangular
-numbers marked for every n up to a bound), t = 3 (the sum of (d/3) over
-the divisors d of 3n+1) and t = 5 (the sum of (d/5) (n+1)/d over the
-divisors d of n+1), each per n as a product over the prime powers of 3n+1
-or n+1, or sieved for every n up to a bound; a positive definite
-quadratic-form count, one isqrt per b, equal to c_3; and two generic routes —
-the product generating function and the runner theta-sum DP — that work for
-every t and serve as cross-checks; count_t_cores returns a plain int.
-core_counts is the one route to a table c_t(0..N), read by the hook tables,
-the vanishing sweeps and the witness walk's budget.
+Closed forms for t = 2 (triangular-number test on 8n+1), t = 3 (the sum of
+(d/3) over the divisors d of 3n+1) and t = 5 (the sum of (d/5) (n+1)/d over
+the divisors d of n+1), each per n as a product over the prime powers of 3n+1
+or n+1; a positive definite quadratic-form count, one isqrt per b, equal to
+c_3; and two generic routes — the product generating function and the runner
+theta-sum DP — that work for every t and serve as cross-checks; count_t_cores
+returns a plain int. The tables c_t(0..N) come from sieves.core_counts, which
+reads ct_count_series here at t = 4 and t >= 6.
 enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
 test oracle, up to a size limit that the series cost model sets at every t.
 """
@@ -18,45 +16,9 @@ from __future__ import annotations
 
 from itertools import chain
 from math import isqrt, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from . import abacus, partitions, series
-
-
-# Largest n that _factor trial-divides, for is_prime(n), for 3n+1 in
-# c3_divisor_sum and for n+1 in c5_divisor_sum. The worst case is a prime
-# near 10^12, whose odd trial divisors run to its square root:
-# is_prime(999_999_999_989), c3_divisor_sum(333_333_000_000) and
-# c5_divisor_sum(999_999_999_988) took about 0.05 s each on a 2.1 GHz Xeon.
-TRIAL_DIVISION_LIMIT = 10**12
-
-
-def _factor(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing n >= 1, p ascending.
-
-    One trial-division pass, refused above TRIAL_DIVISION_LIMIT: 2 by bit
-    count, then odd p up to the square root of the cofactor, left 1 or prime.
-    """
-    if n > TRIAL_DIVISION_LIMIT:
-        raise ValueError(f"trial division of {n} is over the limit of {TRIAL_DIVISION_LIMIT}")
-    twos = (n & -n).bit_length() - 1
-    factors = [(2, twos)] if twos else []
-    n >>= twos
-    p, limit = 3, isqrt(n)
-    while p <= limit:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n, e = n // p, e + 1
-            factors.append((p, e))
-            limit = isqrt(n)
-        p += 2
-    return factors + [(n, 1)] if n > 1 else factors
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; raises ValueError above TRIAL_DIVISION_LIMIT."""
-    return n >= 2 and _factor(n) == [(n, 1)]
+from . import abacus, partitions, series, sieves
 
 
 def c2(n: int) -> int:
@@ -70,53 +32,17 @@ def c2(n: int) -> int:
     return 1 if isqrt(m) ** 2 == m else 0
 
 
-def c2_counts(n_max: int) -> list[int]:
-    """[c2(n) for n in 0..n_max]: 1 at each triangular k(k+1)/2 <= n_max."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    counts = [0] * (n_max + 1)
-    for k in range((isqrt(8 * n_max + 1) + 1) // 2):
-        counts[k * (k + 1) // 2] = 1
-    return counts
-
-
 def c3_divisor_sum(n: int) -> int:
     """Number of 3-cores of n: sum of (d/3) over divisors d of 3n+1.
 
     (d/3) is completely multiplicative and 3 never divides 3n+1, so the sum
     is the product over p^e || 3n+1 of 1 + (p/3) + ... + (p/3)^e: e + 1 for
     p = 1 mod 3, and for p = 2 mod 3, 1 if e is even and 0 if it is odd.
-    Raises ValueError when 3n+1 is above TRIAL_DIVISION_LIMIT.
+    Raises ValueError when 3n+1 is above sieves.TRIAL_DIVISION_LIMIT.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return prod(e + 1 if p % 3 == 1 else 1 - e % 2 for p, e in _factor(3 * n + 1))
-
-
-def c3_divisor_sums(n_max: int) -> list[int]:
-    """[c3_divisor_sum(n) for n in 0..n_max], by a sieve over the divisors.
-
-    A divisor d of 3n+1 pairs with e = (3n+1)/d, and d*e = 1 mod 3 makes
-    e = d mod 3, so both carry the same (d/3). Taking d <= e, the n with
-    3n+1 = d*e for e = d, d+3, d+6, ... start at (d^2-1)/3 and step by d:
-    each gains 2 (d/3), except the first, where e = d, which gains (d/3).
-    Only d <= sqrt(3 n_max + 1) start a progression, O(n_max log n_max) in all.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    counts = [0] * (n_max + 1)
-    for d in range(1, isqrt(3 * n_max + 1) + 1):
-        if d % 3 == 0:
-            continue
-        sign = 1 if d % 3 == 1 else -1
-        first = (d * d - 1) // 3
-        counts[first] += sign
-        counts[first + d :: d] = [c + 2 * sign for c in counts[first + d :: d]]
-    return counts
-
-
-# (d/5) by d mod 5
-_LEGENDRE5 = (0, 1, -1, -1, 1)
+    return prod(e + 1 if p % 3 == 1 else 1 - e % 2 for p, e in sieves._factor(3 * n + 1))
 
 
 def c5_divisor_sum(n: int) -> int:
@@ -126,35 +52,14 @@ def c5_divisor_sum(n: int) -> int:
     Invent. Math. 1990). The sum is multiplicative, and p^e || n+1 gives
     sum over i <= e of x^i p^(e-i) with x = (p/5): (p^(e+1) - x^(e+1)) / (p - x),
     which is 5^e at p = 5. Raises ValueError when n+1 is above
-    TRIAL_DIVISION_LIMIT.
+    sieves.TRIAL_DIVISION_LIMIT.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     return prod(
-        (p ** (e + 1) - _LEGENDRE5[p % 5] ** (e + 1)) // (p - _LEGENDRE5[p % 5])
-        for p, e in _factor(n + 1)
+        (p ** (e + 1) - sieves._LEGENDRE5[p % 5] ** (e + 1)) // (p - sieves._LEGENDRE5[p % 5])
+        for p, e in sieves._factor(n + 1)
     )
-
-
-def c5_divisor_sums(n_max: int) -> list[int]:
-    """[c5_divisor_sum(n) for n in 0..n_max], by a sieve over the divisors.
-
-    Each factorization n+1 = d*e with d <= e adds (d/5) e + (e/5) d, counted
-    once when e = d. For each d <= sqrt(n_max + 1), the n with n+1 = d*e for
-    e = d, d+1, d+2, ... start at d^2 - 1 and step by d, O(n_max log n_max)
-    in all.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    counts = [0] * (n_max + 1)
-    for d in range(1, isqrt(n_max + 1) + 1):
-        first, sign = d * d - 1, _LEGENDRE5[d % 5]
-        counts[first] += sign * d
-        by_e = [x * d for x in _LEGENDRE5]  # (e/5) d by e mod 5
-        counts[first + d :: d] = [
-            c + sign * e + by_e[e % 5] for e, c in enumerate(counts[first + d :: d], d + 1)
-        ]
-    return counts
 
 
 def c3_qf_count(n: int) -> int:
@@ -215,18 +120,6 @@ def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
     return series.sparse_product([(t, t), (1, -1)], truncation)
 
 
-def core_counts(t: int, n_max: int) -> Sequence[int]:
-    """c_t(0..n_max): the triangular numbers at t = 2, the divisor sieves at
-    t = 3 and 5, otherwise the product series, refused over its budget."""
-    if t == 2:
-        return c2_counts(n_max)
-    if t == 3:
-        return c3_divisor_sums(n_max)
-    if t == 5:
-        return c5_divisor_sums(n_max)
-    return ct_count_series(t, n_max)
-
-
 def _runner_span(t: int, c: int, budget2: int) -> range:
     """Offsets x of runner c whose term t x^2 + (2c - t + 1) x is <= budget2."""
     # t x^2 + d x <= budget2  <=>  |2t x + d| <= sqrt(d^2 + 4t budget2)
@@ -280,7 +173,7 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
     walks runners t-1 down to 1; runner 0's offset is fixed by the zero sum.
     The cost is proportional to t times the number of cores found; raises
     ValueError before yielding anything when that exceeds
-    CORE_ENUMERATION_BUDGET, reading core_counts only up to the first
+    CORE_ENUMERATION_BUDGET, reading sieves.core_counts only up to the first
     probed size over it, or when max_size is over the listing's size limit
     (checked first, with no work). That limit is the series cost model's:
     _series_updates(t, max_size) over SERIES_UPDATE_BUDGET, for every t.
@@ -289,7 +182,7 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
         raise ValueError(f"listing the {t}-cores of sizes <= {max_size} is over the size "
                          f"limit set by the series cost model ({updates} coefficient "
                          f"updates, over the budget of {SERIES_UPDATE_BUDGET})")
-    if over := _first_over_budget(max_size, lambda k: t * sum(core_counts(t, k))):
+    if over := _first_over_budget(max_size, lambda k: t * sum(sieves.core_counts(t, k))):
         k, entries = over
         raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes at least "
                          f"{entries} offsets (sizes <= {k}), over the budget of "
@@ -457,11 +350,14 @@ def verify_core_formulas(
     DP. For n <= series_n_max and 2 <= t <= t_max: the generating-function
     coefficients must match the DP. Raises ValueError before any work when
     the DP's row-entry estimates, summed over every call, exceed
-    CORE_COUNT_BUDGET, or when n_max or series_n_max is negative.
+    CORE_COUNT_BUDGET, when n_max or series_n_max is negative, or when t_max
+    is below 2, which would check no series.
     """
     for name, value in (("n_max", n_max), ("series_n_max", series_n_max)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    if t_max < 2:
+        raise ValueError(f"t_max must be at least 2, got {t_max}")
     _check_count_budget(
         chain(
             ((2, n_max), (3, n_max)),
@@ -472,7 +368,7 @@ def verify_core_formulas(
     checked = 0
     by_dp2 = count_t_cores_up_to(2, n_max)
     by_dp3 = count_t_cores_up_to(3, n_max)
-    by_sieve = c3_divisor_sums(n_max)
+    by_sieve = sieves.c3_divisor_sums(n_max)
     for n in range(n_max + 1):
         ds = c3_divisor_sum(n)
         qf = c3_qf_count(n)

@@ -21,7 +21,7 @@ vanishing. The cores in question have sizes in the class r = a2 - t*a1 mod
 b, and each theorem's hypothesis is a condition on that class: (8r+1 / ell)
 = -1 for t = 2, b = ell, and ord_ell(3r+1) = 1 for t = 3, b = ell^2. A
 sweep asks the hypothesis once per class r and reads only the c_t array
-(cores.core_counts, as every table does), through one table of the least m
+(sieves.core_counts, as every table does), through one table of the least m
 with c_t(m) > 0 in each class mod b. For each a1 it visits only the good
 classes shifted by t*a1, so it costs O(b + n_max + hypothesis cells).
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
-from . import cores, series
+from . import series, sieves
 
 __all__ = [
     "HookDistribution",
@@ -60,9 +60,9 @@ COUNTEREXAMPLE = "counterexample"
 # Largest n_max for which _core_count_array builds c_t(0..n_max). The c_3
 # sieve is cheap: verify part2 --ell 2 --nmax 100000 took 0.12 s in a fresh
 # process on a 2.1 GHz Xeon. A table at that n still pays for the tuple
-# series, and at t = 4 and t >= 6 for the c_t series too: on a 2.0 GHz Xeon,
-# table --n 100000 took 1.5 s at --t 3 --b 9, 1.1 s at --t 5, 3.0 s at --t 2
-# and 5.8 s at --t 4.
+# series, and at t = 4 and t >= 6 for the c_t series too: on a 2-CPU 2.0 GHz
+# Xeon VM, table --n 100000 took 0.75 s at --t 3 --b 9, 0.60 s at --t 5,
+# 1.4 s at --t 2 and 3.3 s at --t 4.
 NMAX_BUDGET = 100_000
 
 
@@ -80,7 +80,7 @@ def _check_modulus(b: int) -> None:
 
 def _core_count_array(t: int, n_max: int) -> Sequence[int]:
     _check_n_max(n_max)
-    return cores.core_counts(t, n_max)
+    return sieves.core_counts(t, n_max)
 
 
 class HookDistribution:
@@ -208,11 +208,11 @@ def _theorem(t: int, ell: int):
     format string in v and ell, is the verdict's text when it fails.
     """
     if t == 2:
-        if ell < 3 or not cores.is_prime(ell):
+        if ell < 3 or not sieves.is_prime(ell):
             raise ValueError(f"ell must be an odd prime, got {ell}")
         # Euler's criterion: (v/ell) = -1 exactly when v^((ell-1)/2) = -1 mod ell
         return ell, 8, lambda v: pow(v, ell // 2, ell) == ell - 1, "({v}/{ell}) != -1"
-    if ell % 3 != 2 or not cores.is_prime(ell):
+    if ell % 3 != 2 or not sieves.is_prime(ell):
         raise ValueError(f"ell must be a prime congruent to 2 mod 3, got {ell}")
     # v = 1 mod 3 is never 0, so ord_ell(v) is finite
     return (ell * ell, 3, lambda v: v % ell == 0 != v % (ell * ell),

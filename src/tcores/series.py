@@ -23,8 +23,11 @@ TAOCP Vol. 2, 4.7): with g = E(q) and h = g^e, g h' = e g' h gives
     n h_n = sum over k >= 1 of ((e + 1) k - n) g_k h_{n-k},
 
 over the same pentagonal k, on N // s coefficients that then fill every s-th
-slot. The division is exact. At |e| = 1 the plain pass is the cheaper one,
+slot. The division is exact. At e = -1 the plain pass is the cheaper one,
 and a later factor no longer starts from 1, so both keep the plain pass.
+A factor E(q^s) on the table 1 takes no pass: its terms are laid down. So
+1/E(q)^2 = E(q) * 1/E(q)^3 takes one Jacobi pass, about sqrt(2n) terms per
+coefficient, not Miller's 1.63 sqrt(n) terms and a division.
 Everything is plain big-integer arithmetic, so no floating point and no
 rounding anywhere. Computing to a larger truncation never changes lower
 coefficients.
@@ -98,7 +101,10 @@ def sparse_product(
         pentagonal = _pentagonal_terms(truncation // s)
         if not pentagonal or e == 0:
             continue  # s > N or e = 0: the factor is 1 up to q^N
-        if untouched and abs(e) not in (1, 3):
+        if untouched and e == 1:
+            for g, sign in pentagonal:
+                c[s * g] = sign
+        elif untouched and abs(e) not in (1, 3):
             c[::s] = _eta_power(e, truncation // s)
         else:
             # Dividing moves the sparse series minus 1 across, flipping its
@@ -129,4 +135,4 @@ def eta_inverse_power_series(t: int, truncation: int) -> tuple[int, ...]:
     """
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
-    return sparse_product([(1, -t)], truncation)
+    return sparse_product([(1, 1), (1, -3)] if t == 2 else [(1, -t)], truncation)

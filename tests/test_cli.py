@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tcores import abacus, cli, cores, distribution, nekrasov, partitions, series
+from tcores import abacus, cli, cores, distribution, nekrasov, partitions, series, sieves
 
 
 def run(capsys, *argv):
@@ -389,11 +389,11 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(nekrasov, "_scaled_partition_side", no_work)
     monkeypatch.setattr(series, "sparse_product", p_series_only)
     monkeypatch.setattr(cores, "c2", no_work)
-    monkeypatch.setattr(cores, "c2_counts", no_work)
+    monkeypatch.setattr(sieves, "c2_counts", no_work)
     monkeypatch.setattr(cores, "c3_divisor_sum", no_work)
-    monkeypatch.setattr(cores, "c3_divisor_sums", no_work)
+    monkeypatch.setattr(sieves, "c3_divisor_sums", no_work)
     monkeypatch.setattr(cores, "c5_divisor_sum", no_work)
-    monkeypatch.setattr(cores, "c5_divisor_sums", no_work)
+    monkeypatch.setattr(sieves, "c5_divisor_sums", no_work)
     assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -540,14 +540,14 @@ def test_verify_core_formulas_tmax_9(capsys):
 
 
 def test_verify_core_formulas_checks_the_sieve(capsys, monkeypatch):
-    sieve = cores.c3_divisor_sums
+    sieve = sieves.c3_divisor_sums
 
     def one_wrong(n_max):
         counts = sieve(n_max)
         counts[7] += 1
         return counts
 
-    monkeypatch.setattr(cores, "c3_divisor_sums", one_wrong)
+    monkeypatch.setattr(sieves, "c3_divisor_sums", one_wrong)
     code, out = run(capsys, "verify", "core-formulas", "--nmax", "20",
                     "--series-nmax", "10", "--tmax", "4")
     assert code == 1
@@ -585,12 +585,30 @@ def test_verify_core_formulas_names_the_negative_size(capsys, monkeypatch, flag,
         raise AssertionError("did work before the size check")
 
     # not even the budget estimate runs first
-    for name in ("_dp_row_entries", "count_t_cores_up_to", "ct_count_series", "c3_divisor_sums"):
+    for name in ("_dp_row_entries", "count_t_cores_up_to", "ct_count_series"):
         monkeypatch.setattr(cores, name, no_work)
+    monkeypatch.setattr(sieves, "c3_divisor_sums", no_work)
     assert cli.main(["verify", "core-formulas", flag, "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tmax", ["1", "-5"])
+def test_verify_core_formulas_refuses_a_tmax_that_checks_no_series(capsys, monkeypatch, tmax):
+    def no_work(*args):
+        raise AssertionError("did work before the t_max check")
+
+    for name in ("_dp_row_entries", "count_t_cores_up_to", "ct_count_series"):
+        monkeypatch.setattr(cores, name, no_work)
+    monkeypatch.setattr(sieves, "c3_divisor_sums", no_work)
+    monkeypatch.setattr(series, "sparse_product", no_work)
+    assert cli.main(["verify", "core-formulas", "--tmax", tmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t_max must be at least 2, got {tmax}\n"
+    with pytest.raises(ValueError, match=f"^t_max must be at least 2, got {tmax}$"):
+        cores.verify_core_formulas(t_max=int(tmax))
 
 
 def test_decompose_runner_limit(capsys, monkeypatch):
@@ -658,7 +676,8 @@ def test_cli_import_loads_every_module_but_no_unused_stdlib():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     modules = [f"tcores.{m}" for m in
-               ("abacus", "cli", "cores", "distribution", "nekrasov", "partitions", "series")]
+               ("abacus", "cli", "cores", "distribution", "nekrasov", "partitions", "series",
+                "sieves")]
     assert result.stdout == f"{modules}\n[]\n0\nc_2(6) = 1\n0\n"
 
 

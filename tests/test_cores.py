@@ -3,24 +3,21 @@ from operator import add
 
 import pytest
 
-from tcores import cores, distribution, series
+from tcores import cores, distribution, series, sieves
 from tcores.abacus import _from_counts
 from tcores.cores import (
     c2,
-    c2_counts,
     c3_divisor_sum,
-    c3_divisor_sums,
     c3_qf_count,
-    c5_divisor_sums,
     count_t_cores,
     count_t_cores_up_to,
     ct_count_series,
     enumerate_t_cores,
-    is_prime,
     verify_core_formulas,
 )
 from tcores.partitions import count_t_hooks, enumerate_partitions
 from tcores.series import eta_inverse_power_series
+from tcores.sieves import c2_counts, c3_divisor_sums, c5_divisor_sums, is_prime
 
 
 def test_is_prime_small():
@@ -41,7 +38,7 @@ def test_factor_matches_brute_force():
     # factorization, these are n's prime powers
     prime = _sieve(10**4)
     for n in range(1, 10**4 + 1):
-        factors = cores._factor(n)
+        factors = sieves._factor(n)
         assert prod(p**e for p, e in factors) == n, n
         ps = [p for p, _ in factors]
         assert ps == sorted(set(ps)), n
@@ -136,14 +133,14 @@ def test_c3_qf_solutions_match_box_scan():
 
 
 def test_trial_division_limit():
-    limit = cores.TRIAL_DIVISION_LIMIT
+    limit = sieves.TRIAL_DIVISION_LIMIT
     assert 3 * 333_333_333_333 + 1 == limit
     assert c3_divisor_sum(333_333_333_333) == 1  # 10^12 = 2^12 * 5^12
     assert not is_prime(limit)
     for call, number in (
         (lambda: c3_divisor_sum(333_333_333_334), limit + 3),
         (lambda: is_prime(limit + 1), limit + 1),
-        (lambda: cores._factor(limit + 1), limit + 1),
+        (lambda: sieves._factor(limit + 1), limit + 1),
     ):
         message = f"trial division of {number} is over the limit of {limit}"
         with pytest.raises(ValueError) as exc:
@@ -177,7 +174,7 @@ def test_c5_product_form_matches_sieve():
 
 
 def test_c5_trial_division_limit():
-    limit = cores.TRIAL_DIVISION_LIMIT
+    limit = sieves.TRIAL_DIVISION_LIMIT
     # n+1 = 10^12 = 2^12 * 5^12: the product form against the sum over its
     # divisors d of (d/5) (n+1)/d
     legendre = {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}
@@ -321,7 +318,7 @@ def test_count_t_cores_witnesses():
 def test_core_counts_match_the_runner_dp():
     # one route per t builds every table; the runner DP stays its oracle
     for t in range(2, 8):
-        assert list(cores.core_counts(t, 200)) == count_t_cores_up_to(t, 200), t
+        assert list(sieves.core_counts(t, 200)) == count_t_cores_up_to(t, 200), t
 
 
 @pytest.mark.parametrize("n, t", [(89_676, 2), (90_000, 3)])

@@ -93,6 +93,9 @@ def test_sparse_product_matches_strided_oracle():
     # factor with |e| = 1, and for s > N.
     cases += [([(3, 3), (1, -1)], 90), ([(2, -3)], 60), ([(1, 1), (1, -3)], 60)]
     cases += [([(1, -1), (2, 3), (3, -3)], 70), ([(41, 3), (1, -3)], 40), ([(41, -3)], 40)]
+    # A first factor E(q^s)^1 is laid down from its pentagonal terms, no pass.
+    leading = ([(1, 1)], [(2, 1), (1, -1)], [(1, 1), (1, 1)], [(3, 1), (1, -3)])
+    cases += [(factors, n) for factors in leading for n in (0, 1, 7, 100)]
     for _ in range(150):
         factors = [
             (rng.randint(1, 7), rng.randint(-3, 3))
@@ -103,6 +106,14 @@ def test_sparse_product_matches_strided_oracle():
         assert sparse_product(factors, truncation) == _strided_product(
             factors, truncation
         ), (factors, truncation)
+
+
+def test_tuple_pairs_by_jacobi_match_miller_and_strided_oracle():
+    # Q_2 is E(q) * 1/E(q)^3, one Jacobi pass; the Miller pass stays reachable
+    for truncation in [*range(61), 3000]:
+        q2 = eta_inverse_power_series(2, truncation)
+        assert q2 == sparse_product([(1, -2)], truncation), truncation
+        assert q2 == _strided_product([(1, -2)], truncation), truncation
 
 
 @pytest.mark.parametrize("t", range(2, 8))

@@ -19,7 +19,7 @@ import tcores
 
 SRC = Path(tcores.__file__).resolve().parents[1]
 BENCH = SRC.parent / "bench"
-LIBRARY = ("abacus", "cores", "distribution", "nekrasov", "partitions", "series")
+LIBRARY = ("abacus", "cores", "distribution", "nekrasov", "partitions", "series", "sieves")
 
 
 def modules_run(code: str) -> tuple[list[str], list[str]]:
@@ -46,12 +46,18 @@ def test_import_runs_no_submodule():
     "argv, runs",
     [
         ("--help", ()),
-        ("verify part1 --ell 3 --nmax 50", ("cores", "distribution")),
-        ("verify part2 --ell 2 --nmax 50", ("cores", "distribution")),
-        ("table --n 30,60", ("cores", "distribution", "series")),
+        # the sweeps and the t = 2, 3 and 5 tables read only sieves' tables
+        ("verify part1 --ell 3 --nmax 50", ("distribution", "sieves")),
+        ("verify part2 --ell 2 --nmax 50", ("distribution", "sieves")),
+        ("table --n 30,60", ("distribution", "series", "sieves")),
+        # c2 is a per-n form in cores; c3_divisor_sum reads sieves._factor
         ("cores-count --n 6 --t 2", ("cores",)),
-        ("verify core-formulas --nmax 20 --series-nmax 10 --tmax 4", ("cores", "series")),
+        ("verify core-formulas --nmax 20 --series-nmax 10 --tmax 4", ("cores", "series", "sieves")),
         ("no-check --mmax 4", ("nekrasov", "partitions", "series")),
+        ("table --t 5 --b 5 --n 30", ("distribution", "series", "sieves")),
+        # sieves.core_counts reaches cores.ct_count_series at t = 4
+        ("table --t 4 --n 30,60", ("cores", "distribution", "series", "sieves")),
+        ("cores-count --n 6 --t 3", ("cores", "sieves")),
     ],
 )
 def test_each_command_runs_only_its_modules(argv, runs):
@@ -70,7 +76,8 @@ def test_driver_runs_only_abacus_and_partitions():
         ["--max-size", "5", "--sample", "2", "--seed", "1"]) + ")"
     assert modules_run(code) == (
         ["tcores.abacus", "tcores.partitions"],
-        ["tcores.cores", "tcores.distribution", "tcores.nekrasov", "tcores.series"],
+        ["tcores.cores", "tcores.distribution", "tcores.nekrasov", "tcores.series",
+         "tcores.sieves"],
     )
 
 
@@ -86,8 +93,11 @@ def test_quick_tour_names_resolve_to_their_submodules():
         tcores.nope
 
 
-# Nonzero span calls and counters of one traced operation, as recorded before
-# the library modules became lazy; every other span and counter reads 0.
+# Nonzero span calls and counters of one traced operation; every other span
+# and counter reads 0. Every span call is as it was before sieves split from
+# cores. The counter charges |e| passes per factor, so the t = 2 tuple series
+# E(q) * 1/E(q)^3 counts four passes, though it makes one. The t = 4 table
+# reaches cores.ct_count_series through sieves.core_counts.
 TRACED = {
     "cli verify part1 --ell 3": (
         {"distribution.sweep": 1, "cli.main": 1},
@@ -98,7 +108,14 @@ TRACED = {
         {"series.eta_inverse_power_series": 1, "series.sparse_product": 1,
          "distribution.HookDistribution": 1, "distribution.residue_counts": 2,
          "distribution.format_proportion": 6, "cli.main": 1},
-        {"series.coeff_updates": 990},
+        {"series.coeff_updates": 1050},
+    ),
+    "cli table --t 4 --n 30,60": (
+        {"series.eta_inverse_power_series": 1, "series.sparse_product": 2,
+         "cores.ct_count_series": 1, "distribution.HookDistribution": 1,
+         "distribution.residue_counts": 2, "distribution.format_proportion": 6,
+         "cli.main": 1},
+        {"series.coeff_updates": 828},
     ),
     "cli no-check --mmax 4": (
         {"series.eta_inverse_power_series": 1, "series.sparse_product": 1,
