@@ -6,8 +6,8 @@ the divisors d of n+1), each per n as a product over the prime powers of 3n+1
 or n+1; a positive definite quadratic-form count, one isqrt per b, equal to
 c_3; and two generic routes — the product generating function and the runner
 theta-sum DP — that work for every t and serve as cross-checks; count_t_cores
-returns a plain int. The tables c_t(0..N) come from sieves.core_counts, which
-reads ct_count_series here at t = 4 and t >= 6.
+returns a plain int. The product series is series.ct_count_series, and the
+tables c_t(0..N) come from sieves.core_counts.
 enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
 test oracle, up to a size limit that the series cost model sets at every t.
 """
@@ -19,6 +19,7 @@ from math import isqrt, prod
 from typing import Callable, Iterable, Iterator
 
 from . import abacus, partitions, series, sieves
+from .series import ct_count_series  # a span that bench/trace_child.py looks up here
 
 
 def c2(n: int) -> int:
@@ -84,42 +85,6 @@ def c3_qf_count(n: int) -> int:
     return count
 
 
-# Most coefficient updates, as _series_updates bounds them, that one
-# ct_count_series call may make. t = 5, N = 100,000 made 3.7e7 updates in
-# 3.6 s on a 2.1 GHz Xeon, 52 ns per bounded update (up to 76 ns at t = 50),
-# so the budget caps a call at about 5 s.
-SERIES_UPDATE_BUDGET = 80_000_000
-
-
-def _series_updates(t: int, truncation: int) -> int:
-    """Upper bound on ct_count_series's coefficient updates: a power pass
-    over N // t and a division pass over N, each n taking at most
-    2 isqrt(n) pentagonal (or, at t = 3, triangular) terms."""
-    n = max(truncation, 0)  # sparse_product rejects a negative N itself
-    m = n // t
-    return 2 * (m * isqrt(m) + n * isqrt(n))
-
-
-def ct_count_series(t: int, truncation: int) -> tuple[int, ...]:
-    """c_t(0..N) via the product formula prod (1-q^{tm})^t / (1-q^m).
-
-    Multiplying first keeps every intermediate coefficient small: E(q^t)^t
-    and the quotient c_t grow polynomially, while 1/E(q) grows like p(n).
-    E(q^t)^t takes one Miller pass over N // t (Jacobi's at t = 3), and the
-    division one pass over N (see series).
-    Raises ValueError before any work when _series_updates exceeds
-    SERIES_UPDATE_BUDGET.
-    """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-    if (updates := _series_updates(t, truncation)) > SERIES_UPDATE_BUDGET:
-        raise ValueError(
-            f"the c_{t} series to n={truncation} makes up to {updates} coefficient "
-            f"updates, over the budget of {SERIES_UPDATE_BUDGET}"
-        )
-    return series.sparse_product([(t, t), (1, -1)], truncation)
-
-
 def _runner_span(t: int, c: int, budget2: int) -> range:
     """Offsets x of runner c whose term t x^2 + (2c - t + 1) x is <= budget2."""
     # t x^2 + d x <= budget2  <=>  |2t x + d| <= sqrt(d^2 + 4t budget2)
@@ -175,13 +140,14 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
     ValueError before yielding anything when that exceeds
     CORE_ENUMERATION_BUDGET, reading sieves.core_counts only up to the first
     probed size over it, or when max_size is over the listing's size limit
-    (checked first, with no work). That limit is the series cost model's:
-    _series_updates(t, max_size) over SERIES_UPDATE_BUDGET, for every t.
+    (checked first, with no work). That limit is the c_t series' cost model
+    over series.SERIES_UPDATE_BUDGET, for every t.
     """
-    if (updates := _series_updates(t, max_size)) > SERIES_UPDATE_BUDGET:
+    updates = series._product_updates([(t, t), (1, -1)], max_size)
+    if updates > series.SERIES_UPDATE_BUDGET:
         raise ValueError(f"listing the {t}-cores of sizes <= {max_size} is over the size "
                          f"limit set by the series cost model ({updates} coefficient "
-                         f"updates, over the budget of {SERIES_UPDATE_BUDGET})")
+                         f"updates, over the budget of {series.SERIES_UPDATE_BUDGET})")
     if over := _first_over_budget(max_size, lambda k: t * sum(sieves.core_counts(t, k))):
         k, entries = over
         raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes at least "

@@ -2,7 +2,7 @@
 
 core_counts is the one route to a table c_t(0..N), read by the hook tables,
 the vanishing sweeps and the witness walk's budget: triangular numbers at
-t = 2, divisor sieves at t = 3 and 5, otherwise cores.ct_count_series.
+t = 2, divisor sieves at t = 3 and 5, otherwise series.ct_count_series.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from . import cores
+from . import series
 
 
 # Largest n that _factor trial-divides, for is_prime(n), for 3n+1 in
@@ -115,4 +115,4 @@ def core_counts(t: int, n_max: int) -> Sequence[int]:
         return c3_divisor_sums(n_max)
     if t == 5:
         return c5_divisor_sums(n_max)
-    return cores.ct_count_series(t, n_max)
+    return series.ct_count_series(t, n_max)

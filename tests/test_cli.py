@@ -380,10 +380,14 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     real_product = series.sparse_product
 
     def p_series_only(factors, truncation):
-        # the budget checks read p(k) off 1/E(q); any other product is work
-        if list(factors) != [(1, -1)]:
-            no_work()
-        return real_product(factors, truncation)
+        # the budget checks read p(k) off 1/E(q); any other product must be
+        # refused by its cost model before a pass reads a single term
+        if list(factors) == [(1, -1)]:
+            return real_product(factors, truncation)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_pentagonal_terms", "_jacobi_terms", "_eta_power", "_multiply"):
+                patch.setattr(series, name, no_work)
+            return real_product(factors, truncation)
 
     monkeypatch.setattr(nekrasov, "_scaled_product_sides", no_work)
     monkeypatch.setattr(nekrasov, "_scaled_partition_side", no_work)

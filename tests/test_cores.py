@@ -11,12 +11,11 @@ from tcores.cores import (
     c3_qf_count,
     count_t_cores,
     count_t_cores_up_to,
-    ct_count_series,
     enumerate_t_cores,
     verify_core_formulas,
 )
 from tcores.partitions import count_t_hooks, enumerate_partitions
-from tcores.series import eta_inverse_power_series
+from tcores.series import ct_count_series, eta_inverse_power_series
 from tcores.sieves import c2_counts, c3_divisor_sums, c5_divisor_sums, is_prime
 
 
@@ -327,7 +326,7 @@ def test_listing_at_t_2_3_builds_no_series(monkeypatch, n, t):
     def no_series(*args):
         raise AssertionError("built the c_t series")
 
-    monkeypatch.setattr(cores, "ct_count_series", no_series)
+    monkeypatch.setattr(series, "ct_count_series", no_series)
     monkeypatch.setattr(series, "sparse_product", no_series)
     found = enumerate_t_cores(n, t)
     assert len(found) == count_t_cores(n, t) > 0
@@ -426,7 +425,7 @@ def test_runner_walk_refused_without_full_series(monkeypatch):
         sizes.append(truncation)
         return ct_count_series(t, truncation)
 
-    monkeypatch.setattr(cores, "ct_count_series", recording)
+    monkeypatch.setattr(series, "ct_count_series", recording)
     with pytest.raises(ValueError, match="budget"):
         enumerate_t_cores(100_000, 7)
     assert max(sizes) < 1000
@@ -441,32 +440,22 @@ def test_count_budget_boundary(monkeypatch):
         count_t_cores_up_to(5, 40)
 
 
-def test_series_updates_bound_the_real_count():
-    # The Miller pass for E(q^t)^t runs over m = n // t and the division pass
-    # over n; each takes every pentagonal step g <= i once per i.
-    def real(t, n):
-        steps = [k * (3 * k + sign) // 2 for k in range(1, n + 1) for sign in (-1, 1)]
-        return sum(top - g + 1 for top in (n // t, n) for g in steps if 1 <= g <= top)
-
-    for t in (4, 5, 7, 9, 50):
-        for n in (0, 1, 10, 100, 1000):
-            assert real(t, n) <= cores._series_updates(t, n) <= 2 * real(t, n) + 2 * t * n
-
-
 def test_series_budget_boundary(monkeypatch):
     # cores-count --n 200 --t 7 fits
-    assert cores._series_updates(7, 200) <= cores.SERIES_UPDATE_BUDGET
-    updates = cores._series_updates(5, 40)
-    monkeypatch.setattr(cores, "SERIES_UPDATE_BUDGET", updates)
+    assert series._product_updates([(7, 7), (1, -1)], 200) <= series.SERIES_UPDATE_BUDGET
+    updates = series._product_updates([(5, 5), (1, -1)], 40)
+    monkeypatch.setattr(series, "SERIES_UPDATE_BUDGET", updates)
     assert ct_count_series(5, 40) == tuple(count_t_cores_up_to(5, 40))
-    monkeypatch.setattr(cores, "SERIES_UPDATE_BUDGET", updates - 1)
+    monkeypatch.setattr(series, "SERIES_UPDATE_BUDGET", updates - 1)
     calls = []
-    monkeypatch.setattr(series, "sparse_product", lambda *a: calls.append(a))
+    for name in ("_pentagonal_terms", "_jacobi_terms", "_eta_power", "_multiply"):
+        monkeypatch.setattr(series, name, lambda *a: calls.append(a))
     with pytest.raises(ValueError, match="budget"):
         ct_count_series(5, 40)
     # the count at t = 5 reads its closed form; t = 7 still reads the series
     assert count_t_cores(40, 5) == count_t_cores_up_to(5, 40)[40]
-    monkeypatch.setattr(cores, "SERIES_UPDATE_BUDGET", cores._series_updates(7, 40) - 1)
+    updates = series._product_updates([(7, 7), (1, -1)], 40)
+    monkeypatch.setattr(series, "SERIES_UPDATE_BUDGET", updates - 1)
     with pytest.raises(ValueError, match="budget"):
         count_t_cores(40, 7)
     assert calls == []

@@ -1,8 +1,12 @@
 import random
+import re
+import sys
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from tcores import distribution
+from tcores import distribution, series
 from tcores.distribution import (
     COUNTEREXAMPLE,
     HYPOTHESIS_NOT_MET,
@@ -133,6 +137,122 @@ def test_sparse_product_validation():
         eta_inverse_power_series(2, -1)
     with pytest.raises(ValueError):
         eta_inverse_power_series(0, 5)
+
+
+def _real_updates(factors, truncation):
+    # The coefficient updates sparse_product really makes: executions of the
+    # `acc += ... [n - d]` lines in series.py, counted by a line tracer.
+    path = series.__file__
+    source = Path(path).read_text().splitlines()
+    lines = {i for i, text in enumerate(source, 1) if re.search(r"acc [-+]= .*\[n - \w\]", text)}
+    assert len(lines) == 3  # Miller's two, the plain pass's one
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno in lines:
+            count += 1
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == path else None)
+    try:
+        sparse_product(factors, truncation)
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_series_updates_bound_the_real_count():
+    # The c_t series' first pass, Miller's for E(q^t)^t (Jacobi's at t = 3),
+    # runs over m = n // t and the division pass over n; each takes every
+    # step g <= i once per i.
+    def real(t, n):
+        pentagonal = [k * (3 * k + sign) // 2 for k in range(1, n + 1) for sign in (-1, 1)]
+        triangular = [k * (k + 1) // 2 for k in range(1, n + 1)]
+        passes = ((n // t, triangular if t == 3 else pentagonal), (n, pentagonal))
+        return sum(top - g + 1 for top, steps in passes for g in steps if 1 <= g <= top)
+
+    for t in (2, 3, 4, 5, 7, 9, 50):
+        for n in (0, 1, 10, 100, 1000):
+            updates = series._product_updates([(t, t), (1, -1)], n)
+            assert real(t, n) <= updates <= 2 * real(t, n) + 2 * t * n, (t, n)
+            if n <= 100:
+                assert _real_updates([(t, t), (1, -1)], n) == real(t, n), (t, n)
+    # a laid-down factor makes no update and is charged none
+    assert _real_updates([(7, 1)], 300) == series._product_updates([(7, 1)], 300) == 0
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(1, 1)], [(7, 1)], [(7, 1), (1, -1)], [(1, 1), (1, 1)],  # laid down first
+        [(1, -2)], [(2, 5), (1, -1)], [(1, 4), (2, -1)],  # Miller first
+        [(3, 3), (1, -1)], [(1, -3)], [(1, 1), (1, -3)], [(2, -1), (3, 3)],  # Jacobi
+        [(1, -1)], [(2, -1)], [(1, -1), (1, -2)], [(2, 1), (1, 2)],  # plain
+        [(1, -1), (3, -2), (2, 3), (5, 1)], [(7, -1), (2, -2)], [(1, 1), (2, -4)],  # later s > 1
+        [(1, 0), (2, -3)], [(3, 0), (1, 0)],  # e = 0
+        [(400, 2), (1, -1)], [(400, 3), (500, -1), (2, 1)],  # s > N
+    ],
+)
+def test_product_updates_bound_every_route(factors):
+    for n in (0, 1, 2, 10, 100, 300):
+        assert _real_updates(factors, n) <= series._product_updates(factors, n), n
+
+
+def test_product_updates_match_the_c_t_formula():
+    # The model at [(t, t), (1, -1)] is the c_t formula it replaced, so no
+    # refusal edge moves.
+    edges = (95693, 95694, 104166, 104167, 100000, 200000)
+    for t in range(2, 60):
+        for n in (0, 1, 2, t - 1, t, 2 * t + 1, 1000, *edges):
+            m = n // t
+            model = 2 * (m * isqrt(m) + n * isqrt(n))
+            assert series._product_updates([(t, t), (1, -1)], n) == model, (t, n)
+    fits = {(2, 95693): True, (2, 95694): False, (3, 104166): True, (3, 104167): False,
+            (7, 100000): True, (7, 200000): False}
+    for (t, n), fit in fits.items():
+        updates = series._product_updates([(t, t), (1, -1)], n)
+        assert (updates <= series.SERIES_UPDATE_BUDGET) == fit, (t, n)
+
+
+def _forbid_passes(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("a pass ran")
+
+    for name in ("_pentagonal_terms", "_jacobi_terms", "_eta_power", "_multiply"):
+        monkeypatch.setattr(series, name, no_pass)
+
+
+@pytest.mark.parametrize(
+    "t, factors",
+    [
+        (1, [(1, -1)]), (2, [(1, 1), (1, -3)]), (3, [(1, -3)]), (5, [(1, -5)]),
+        (None, [(2, -1), (3, 2)]), (None, [(1, 1), (3, 3), (2, -2)]), (None, [(4, 4), (1, -1)]),
+    ],
+)
+def test_budget_refuses_one_below_the_model_before_any_pass(monkeypatch, t, factors):
+    def build():
+        return sparse_product(factors, 200) if t is None else eta_inverse_power_series(t, 200)
+
+    updates = series._product_updates(factors, 200)
+    monkeypatch.setattr(series, "SERIES_UPDATE_BUDGET", updates)
+    assert build() == _strided_product(factors, 200)
+    monkeypatch.setattr(series, "SERIES_UPDATE_BUDGET", updates - 1)
+    _forbid_passes(monkeypatch)
+    with pytest.raises(ValueError, match="budget"):
+        build()
+
+
+def test_bad_factors_refused_before_any_pass(monkeypatch):
+    _forbid_passes(monkeypatch)
+    for factors, truncation, message in (
+        ([(1, -1), (0, 2)], 50, "factor step s must be at least 1, got 0"),
+        ([(1, 1), (5, -3), (-2, 1)], 50, "factor step s must be at least 1, got -2"),
+        ([(1, -1)], -1, "truncation must be non-negative, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sparse_product(factors, truncation)
 
 
 def test_partition_counts_match_sympy():

@@ -50,14 +50,15 @@ def test_import_runs_no_submodule():
         ("verify part1 --ell 3 --nmax 50", ("distribution", "sieves")),
         ("verify part2 --ell 2 --nmax 50", ("distribution", "sieves")),
         ("table --n 30,60", ("distribution", "series", "sieves")),
-        # c2 is a per-n form in cores; c3_divisor_sum reads sieves._factor
-        ("cores-count --n 6 --t 2", ("cores",)),
+        # c2 is a per-n form in cores, which binds series.ct_count_series;
+        # c3_divisor_sum reads sieves._factor
+        ("cores-count --n 6 --t 2", ("cores", "series")),
         ("verify core-formulas --nmax 20 --series-nmax 10 --tmax 4", ("cores", "series", "sieves")),
         ("no-check --mmax 4", ("nekrasov", "partitions", "series")),
         ("table --t 5 --b 5 --n 30", ("distribution", "series", "sieves")),
-        # sieves.core_counts reaches cores.ct_count_series at t = 4
-        ("table --t 4 --n 30,60", ("cores", "distribution", "series", "sieves")),
-        ("cores-count --n 6 --t 3", ("cores", "sieves")),
+        # sieves.core_counts reads series.ct_count_series at t = 4
+        ("table --t 4 --n 30,60", ("distribution", "series", "sieves")),
+        ("cores-count --n 6 --t 3", ("cores", "series", "sieves")),
     ],
 )
 def test_each_command_runs_only_its_modules(argv, runs):
@@ -69,6 +70,29 @@ def test_each_command_runs_only_its_modules(argv, runs):
     run, lazy = modules_run(code)
     assert run == sorted(["tcores.cli", *(f"tcores.{m}" for m in runs)])
     assert lazy == [f"tcores.{m}" for m in LIBRARY if m not in runs]
+
+
+def test_library_imports_form_no_cycle():
+    # edges of `from . import x` and `from .x import y` between tcores modules
+    graph = {}
+    for source in Path(tcores.__file__).parent.glob("*.py"):
+        edges = graph.setdefault(source.stem, set())
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges.update([node.module] if node.module else (a.name for a in node.names))
+    done, stack = set(), []
+
+    def visit(module):
+        assert module not in stack, " -> ".join([*stack[stack.index(module):], module])
+        if module not in done:
+            stack.append(module)
+            for target in sorted(graph.get(module, ())):
+                visit(target)
+            done.add(stack.pop())
+
+    for module in sorted(graph):
+        visit(module)
+    assert {"cores", "series", "sieves"} <= done
 
 
 def test_driver_runs_only_abacus_and_partitions():
@@ -97,7 +121,8 @@ def test_quick_tour_names_resolve_to_their_submodules():
 # and counter reads 0. Every span call is as it was before sieves split from
 # cores. The counter charges |e| passes per factor, so the t = 2 tuple series
 # E(q) * 1/E(q)^3 counts four passes, though it makes one. The t = 4 table
-# reaches cores.ct_count_series through sieves.core_counts.
+# reads series.ct_count_series through sieves.core_counts, and the tracer
+# counts it under the name cores binds it by.
 TRACED = {
     "cli verify part1 --ell 3": (
         {"distribution.sweep": 1, "cli.main": 1},
