@@ -37,7 +37,8 @@ __all__ = [
 # the submodule that defines each quick-tour name
 _EXPORTS = {
     **dict.fromkeys(("compose", "decompose", "t_core"), "abacus"),
-    **dict.fromkeys(("c2", "c3_divisor_sum", "enumerate_t_cores"), "cores"),
+    **dict.fromkeys(("c2", "c3_divisor_sum"), "sieves"),
+    "enumerate_t_cores": "cores",
     **dict.fromkeys(("formatted_proportions", "pt_count", "residue_profile"), "distribution"),
     **dict.fromkeys(("Partition", "count_t_hooks"), "partitions"),
 }

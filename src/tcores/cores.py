@@ -1,15 +1,10 @@
-"""Counting t-core partitions.
+"""Listing t-cores, and the routes that cross-check the closed forms.
 
-Closed forms for t = 2 (triangular-number test on 8n+1), t = 3 (the sum of
-(d/3) over the divisors d of 3n+1) and t = 5 (the sum of (d/5) (n+1)/d over
-the divisors d of n+1), each per n as a product over the prime powers of 3n+1
-or n+1; a positive definite quadratic-form count, one isqrt per b, equal to
-c_3; and two generic routes — the product generating function and the runner
-theta-sum DP — that work for every t and serve as cross-checks; count_t_cores
-returns a plain int. The product series is series.ct_count_series, and the
-tables c_t(0..N) come from sieves.core_counts.
-enumerate_t_cores lists the cores themselves, for witnesses and as the DP's
-test oracle, up to a size limit that the series cost model sets at every t.
+count_t_cores returns c_t(n) by the closed form sieves.closed_forms holds for
+t, else by series.ct_count_series. verify_core_formulas checks those forms
+against a quadratic-form count equal to c_3 and the runner theta-sum DP for
+every t. enumerate_t_cores lists the cores, for witnesses and as the DP's test
+oracle, up to a size limit that the series cost model sets at every t.
 """
 
 from __future__ import annotations
@@ -19,48 +14,9 @@ from math import isqrt, prod
 from typing import Callable, Iterable, Iterator
 
 from . import abacus, partitions, series, sieves
-from .series import ct_count_series  # a span that bench/trace_child.py looks up here
-
-
-def c2(n: int) -> int:
-    """Number of 2-cores of n: 1 iff 8n+1 is a perfect (odd) square.
-
-    Equivalently, 1 iff n is triangular — the staircase is the only 2-core.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    m = 8 * n + 1
-    return 1 if isqrt(m) ** 2 == m else 0
-
-
-def c3_divisor_sum(n: int) -> int:
-    """Number of 3-cores of n: sum of (d/3) over divisors d of 3n+1.
-
-    (d/3) is completely multiplicative and 3 never divides 3n+1, so the sum
-    is the product over p^e || 3n+1 of 1 + (p/3) + ... + (p/3)^e: e + 1 for
-    p = 1 mod 3, and for p = 2 mod 3, 1 if e is even and 0 if it is odd.
-    Raises ValueError when 3n+1 is above sieves.TRIAL_DIVISION_LIMIT.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return prod(e + 1 if p % 3 == 1 else 1 - e % 2 for p, e in sieves._factor(3 * n + 1))
-
-
-def c5_divisor_sum(n: int) -> int:
-    """Number of 5-cores of n: sum of (d/5) (n+1)/d over divisors d of n+1.
-
-    This is Garvan, Kim and Stanton's closed form ("Cranks and t-cores",
-    Invent. Math. 1990). The sum is multiplicative, and p^e || n+1 gives
-    sum over i <= e of x^i p^(e-i) with x = (p/5): (p^(e+1) - x^(e+1)) / (p - x),
-    which is 5^e at p = 5. Raises ValueError when n+1 is above
-    sieves.TRIAL_DIVISION_LIMIT.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return prod(
-        (p ** (e + 1) - sieves._LEGENDRE5[p % 5] ** (e + 1)) // (p - sieves._LEGENDRE5[p % 5])
-        for p, e in sieves._factor(n + 1)
-    )
+# spans that bench/trace_child.py looks up here
+from .series import ct_count_series
+from .sieves import c2, c3_divisor_sum
 
 
 def c3_qf_count(n: int) -> int:
@@ -297,12 +253,8 @@ def _check_n_t(n: int, t: int) -> None:
 def count_t_cores(n: int, t: int) -> int:
     """c_t(n) via the cheapest correct route for the given t."""
     _check_n_t(n, t)
-    if t == 2:
-        return c2(n)
-    if t == 3:
-        return c3_divisor_sum(n)
-    if t == 5:
-        return c5_divisor_sum(n)
+    if forms := sieves.closed_forms().get(t):
+        return forms[0](n)
     return ct_count_series(t, n)[n]
 
 

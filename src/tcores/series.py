@@ -105,12 +105,12 @@ def _live_factors(factors: Sequence[tuple[int, int]], truncation: int) -> list[t
 
 def _product_updates(factors: Sequence[tuple[int, int]], truncation: int) -> int:
     """Upper bound on sparse_product(factors, N)'s coefficient updates: a pass
-    over L coefficients takes at most 2 isqrt(L) terms at each; the first live
-    factor takes one pass over L = N // s, none when laid down, and each later
-    one |e| passes over N, one at |e| = 3."""
+    of E(q^s) over L coefficients takes at most 2 isqrt(L // s) terms at each;
+    the first live factor runs E(q) over L = N // s, none when laid down, and
+    each later one |e| passes over N, one at |e| = 3."""
     live = _live_factors(factors, truncation)
-    passes = sum(1 if abs(e) == 3 else abs(e) for _, e in live[1:])
-    updates = passes * 2 * truncation * isqrt(truncation)
+    updates = sum((1 if abs(e) == 3 else abs(e)) * 2 * truncation * isqrt(truncation // s)
+                  for s, e in live[1:])
     if live and live[0][1] != 1:
         length = truncation // live[0][0]
         updates += 2 * length * isqrt(length)

@@ -392,11 +392,11 @@ def test_over_budget_exits_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(nekrasov, "_scaled_product_sides", no_work)
     monkeypatch.setattr(nekrasov, "_scaled_partition_side", no_work)
     monkeypatch.setattr(series, "sparse_product", p_series_only)
-    monkeypatch.setattr(cores, "c2", no_work)
+    monkeypatch.setattr(sieves, "c2", no_work)
     monkeypatch.setattr(sieves, "c2_counts", no_work)
-    monkeypatch.setattr(cores, "c3_divisor_sum", no_work)
+    monkeypatch.setattr(sieves, "c3_divisor_sum", no_work)
     monkeypatch.setattr(sieves, "c3_divisor_sums", no_work)
-    monkeypatch.setattr(cores, "c5_divisor_sum", no_work)
+    monkeypatch.setattr(sieves, "c5_divisor_sum", no_work)
     monkeypatch.setattr(sieves, "c5_divisor_sums", no_work)
     assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()

@@ -6,8 +6,6 @@ import pytest
 from tcores import cores, distribution, series, sieves
 from tcores.abacus import _from_counts
 from tcores.cores import (
-    c2,
-    c3_divisor_sum,
     c3_qf_count,
     count_t_cores,
     count_t_cores_up_to,
@@ -16,7 +14,14 @@ from tcores.cores import (
 )
 from tcores.partitions import count_t_hooks, enumerate_partitions
 from tcores.series import ct_count_series, eta_inverse_power_series
-from tcores.sieves import c2_counts, c3_divisor_sums, c5_divisor_sums, is_prime
+from tcores.sieves import (
+    c2,
+    c2_counts,
+    c3_divisor_sum,
+    c3_divisor_sums,
+    c5_divisor_sums,
+    is_prime,
+)
 
 
 def test_is_prime_small():
@@ -315,9 +320,17 @@ def test_count_t_cores_witnesses():
 
 
 def test_core_counts_match_the_runner_dp():
-    # one route per t builds every table; the runner DP stays its oracle
-    for t in range(2, 8):
-        assert list(sieves.core_counts(t, 200)) == count_t_cores_up_to(t, 200), t
+    # one route per t builds every table and every count_t_cores(n, t); the
+    # runner DP stays their oracle, and the per-n closed forms meet their
+    # sieves again near 10^5
+    for t in range(2, 10):
+        table = list(sieves.core_counts(t, 200))
+        assert table == count_t_cores_up_to(t, 200), t
+        assert [count_t_cores(n, t) for n in range(201)] == table, t
+    window = range(99_800, 100_001)
+    for t in (2, 3, 5):
+        tail = sieves.core_counts(t, 100_000)[window.start :]
+        assert [count_t_cores(n, t) for n in window] == tail, t
 
 
 @pytest.mark.parametrize("n, t", [(89_676, 2), (90_000, 3)])

@@ -193,11 +193,16 @@ def test_series_updates_bound_the_real_count():
         [(1, -1), (3, -2), (2, 3), (5, 1)], [(7, -1), (2, -2)], [(1, 1), (2, -4)],  # later s > 1
         [(1, 0), (2, -3)], [(3, 0), (1, 0)],  # e = 0
         [(400, 2), (1, -1)], [(400, 3), (500, -1), (2, 1)],  # s > N
+        [(1, 1), (50, -1)],  # a later s > 1, also checked at N = 3000 below
     ],
 )
 def test_product_updates_bound_every_route(factors):
     for n in (0, 1, 2, 10, 100, 300):
         assert _real_updates(factors, n) <= series._product_updates(factors, n), n
+    if factors == [(1, 1), (50, -1)]:
+        # a later pass of step s takes at most 2 isqrt(N // s) terms a coefficient
+        real = _real_updates(factors, 3000)
+        assert real == 22_362 and series._product_updates(factors, 3000) == 42_000 < 2 * real
 
 
 def test_product_updates_match_the_c_t_formula():

@@ -50,15 +50,16 @@ def test_import_runs_no_submodule():
         ("verify part1 --ell 3 --nmax 50", ("distribution", "sieves")),
         ("verify part2 --ell 2 --nmax 50", ("distribution", "sieves")),
         ("table --n 30,60", ("distribution", "series", "sieves")),
-        # c2 is a per-n form in cores, which binds series.ct_count_series;
-        # c3_divisor_sum reads sieves._factor
-        ("cores-count --n 6 --t 2", ("cores", "series")),
+        # every cores-count runs sieves, whose closed_forms picks the route,
+        # and series, whose ct_count_series cores binds
+        ("cores-count --n 6 --t 2", ("cores", "series", "sieves")),
         ("verify core-formulas --nmax 20 --series-nmax 10 --tmax 4", ("cores", "series", "sieves")),
         ("no-check --mmax 4", ("nekrasov", "partitions", "series")),
         ("table --t 5 --b 5 --n 30", ("distribution", "series", "sieves")),
         # sieves.core_counts reads series.ct_count_series at t = 4
         ("table --t 4 --n 30,60", ("distribution", "series", "sieves")),
         ("cores-count --n 6 --t 3", ("cores", "series", "sieves")),
+        ("cores-count --n 6 --t 7", ("cores", "series", "sieves")),
     ],
 )
 def test_each_command_runs_only_its_modules(argv, runs):
@@ -147,6 +148,19 @@ TRACED = {
          "partitions.enumerate_partitions": 5, "partitions.hook_rows": 12,
          "nekrasov.check_identity": 1, "cli.main": 1},
         {"series.coeff_updates": 14},
+    ),
+    # count_t_cores reads c2 off sieves.closed_forms, which is built at each
+    # call and so holds the wrapped form; verify_core_formulas calls the
+    # forms that cores binds from sieves
+    "cli cores-count --n 6 --t 2": (
+        {"cores.c2": 1, "cores.count_t_cores": 1, "cli.main": 1},
+        {},
+    ),
+    "cli verify core-formulas --nmax 20 --series-nmax 10 --tmax 4": (
+        {"series.sparse_product": 3, "cores.c2": 21, "cores.c3_divisor_sum": 21,
+         "cores.c3_qf_count": 21, "cores.ct_count_series": 3,
+         "cores.count_t_cores_up_to": 5, "cores.verify_core_formulas": 1, "cli.main": 1},
+        {"series.coeff_updates": 100},
     ),
     "driver --max-size 5 --sample 2 --seed 1": (
         {"abacus.decompose": 126, "abacus.compose": 126, "abacus.t_core": 126,
