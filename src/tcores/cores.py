@@ -3,8 +3,8 @@
 count_t_cores returns c_t(n) by the closed form sieves.closed_forms holds for
 t, else by series.ct_count_series. verify_core_formulas checks those forms
 against a quadratic-form count equal to c_3 and the runner theta-sum DP for
-every t. enumerate_t_cores lists the cores, for witnesses and as the DP's test
-oracle, up to a size limit that the series cost model sets at every t.
+every t. enumerate_t_cores lists the t-cores of n for witnesses, closing runners
+1 and 0 by one root, up to the size limit the series cost model sets at every t.
 """
 
 from __future__ import annotations
@@ -14,9 +14,14 @@ from math import isqrt, prod
 from typing import Callable, Iterable, Iterator
 
 from . import abacus, partitions, series, sieves
-# spans that bench/trace_child.py looks up here
-from .series import ct_count_series
-from .sieves import c2, c3_divisor_sum
+# spans that bench/trace_child.py looks up here, by the module that defines each
+_SPANS = {"c2": sieves, "c3_divisor_sum": sieves, "ct_count_series": series}
+
+
+def __getattr__(name: str):
+    if name in _SPANS:
+        return getattr(_SPANS[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def c3_qf_count(n: int) -> int:
@@ -50,9 +55,10 @@ def _runner_span(t: int, c: int, budget2: int) -> range:
 
 
 # Most entries that one enumeration may write: t offsets per t-core of size
-# <= max_size, or for t > n up to n p(n) parts of the partitions of n. Either
-# caps a call near 5 s on a 2.1 GHz Xeon: 0.25 us an offset, and n = 53, the
-# largest n listed, took about 3.3 s with the CLI's output.
+# <= n, as a walk over every size <= n wrote (the walk to size n visits a
+# subset of its prefixes), or for t > n up to n p(n) parts. Either caps a call
+# near 5 s on a 2.1 GHz Xeon: t = 16, n = 60 took 4.9 s at the edge (0.24 us
+# an offset), and n = 53, the largest t > n listed, 3.3 s with the output.
 CORE_ENUMERATION_BUDGET = 20_000_000
 
 
@@ -79,8 +85,8 @@ def _check_listing_budget(n: int) -> None:
                          f"({parts} at k={k}), over the budget of {CORE_ENUMERATION_BUDGET}")
 
 
-def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (size, offsets) for every t-core of size <= max_size, once each.
+def _runner_offset_vectors(t: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the runner offsets of every t-core of n, once each.
 
     A t-core padded to a multiple-of-t bead count has per-runner bead counts
     b_c; the offsets x_c = b_c - s/t sum to zero, do not depend on the
@@ -91,45 +97,47 @@ def _runner_offset_vectors(t: int, max_size: int) -> Iterator[tuple[int, tuple[i
 
     As |2c - t + 1| < t, every term is >= 0 at integer x_c, so the budget
     left after runners t-1, ..., c+1 alone bounds x_c. An explicit stack
-    walks runners t-1 down to 1; runner 0's offset is fixed by the zero sum.
-    The cost is proportional to t times the number of cores found; raises
-    ValueError before yielding anything when that exceeds
-    CORE_ENUMERATION_BUDGET, reading sieves.core_counts only up to the first
-    probed size over it, or when max_size is over the listing's size limit
-    (checked first, with no work). That limit is the c_t series' cost model
-    over series.SERIES_UPDATE_BUDGET, for every t.
+    walks runners t-1 down to 2. With S their offset sum, x_1 and x_0 =
+    -S - x_1 must add 2t x_1^2 + (2tS + 2) x_1 + tS^2 + (t - 1) S, the 2n
+    the walk left; its roots sum to -S - 1/t, so one isqrt finds the one
+    integer x_1 or none. Raises ValueError before yielding anything when t
+    times the number of t-cores of size <= n exceeds CORE_ENUMERATION_BUDGET,
+    reading sieves.core_counts only up to the first probed size over it, or
+    when n is over the listing's size limit (checked first, with no work),
+    the c_t series' cost model over series.SERIES_UPDATE_BUDGET at every t.
     """
-    updates = series._product_updates([(t, t), (1, -1)], max_size)
+    updates = series._product_updates([(t, t), (1, -1)], n)
     if updates > series.SERIES_UPDATE_BUDGET:
-        raise ValueError(f"listing the {t}-cores of sizes <= {max_size} is over the size "
+        raise ValueError(f"listing the {t}-cores of sizes <= {n} is over the size "
                          f"limit set by the series cost model ({updates} coefficient "
                          f"updates, over the budget of {series.SERIES_UPDATE_BUDGET})")
-    if over := _first_over_budget(max_size, lambda k: t * sum(sieves.core_counts(t, k))):
+    if over := _first_over_budget(n, lambda k: t * sum(sieves.core_counts(t, k))):
         k, entries = over
-        raise ValueError(f"enumerating the {t}-cores of sizes <= {max_size} writes at least "
+        raise ValueError(f"enumerating the {t}-cores of sizes <= {n} writes at least "
                          f"{entries} offsets (sizes <= {k}), over the budget of "
                          f"{CORE_ENUMERATION_BUDGET}")
-    target2 = 2 * max_size
-    offsets = [0] * t
-    # (runner, its remaining offsets, 2*size and offset sum of runners above)
-    stack = [(t - 1, iter(_runner_span(t, t - 1, target2)), 0, 0)]
-    while stack:
-        c, xs, spent2, total = stack[-1]
-        x = next(xs, None)
-        if x is None:
-            stack.pop()
-            continue
-        offsets[c] = x
-        spent2 += t * x * x + (2 * c - t + 1) * x
-        total += x
+
+    def entry(c: int, left2: int, total: int) -> tuple:
+        # (c, runner c's offsets, left2: 2n less the runners above's share, their
+        # offset sum S); runner 1's are the roots (-(tS + 1) +- r) / 2t, r^2 = disc
         if c > 1:
-            span = _runner_span(t, c - 1, target2 - spent2)
-            stack.append((c - 1, iter(span), spent2, total))
-            continue
-        size2 = spent2 + t * total * total + (t - 1) * total
-        if size2 <= target2:
-            offsets[0] = -total
-            yield size2 // 2, tuple(offsets)
+            return c, iter(_runner_span(t, c, left2)), left2, total
+        disc = 1 + 2 * t * (left2 + 2 * total) - t * t * total * (total + 2)
+        r = isqrt(max(disc, 0))
+        roots = (r - t * total - 1, -r - t * total - 1) if r * r == disc else ()
+        return c, (x // (2 * t) for x in roots if x % (2 * t) == 0), left2, total
+
+    offsets = [0] * t
+    stack = [entry(t - 1, 2 * n, 0)]
+    while stack:
+        c, xs, left2, total = stack[-1]
+        if (x := next(xs, None)) is None:
+            stack.pop()
+        elif c == 1:
+            yield (-total - x, x, *offsets[2:])
+        else:
+            offsets[c] = x
+            stack.append(entry(c - 1, left2 - t * x * x - (2 * c - t + 1) * x, total + x))
 
 
 def _busy_runners(t: int, max_size: int) -> Iterator[tuple[int, range]]:
@@ -226,8 +234,7 @@ def count_t_cores_up_to(t: int, max_size: int) -> list[int]:
 def enumerate_t_cores(n: int, t: int) -> list[partitions.Partition]:
     """All t-core partitions of n, in reverse-lexicographic order.
 
-    Each runner offset vector of size n decodes to one core; the cost is
-    bounded by CORE_ENUMERATION_BUDGET (see _runner_offset_vectors). For
+    Each offset vector of _runner_offset_vectors decodes to one core. For
     t > n no hook reaches length t, so every partition of n is a t-core and
     no runner is walked; the budget is charged n p(n) listed parts instead.
     """
@@ -235,10 +242,7 @@ def enumerate_t_cores(n: int, t: int) -> list[partitions.Partition]:
     if t > n:
         _check_listing_budget(n)
         return list(partitions.enumerate_partitions(n))
-    cores = []
-    for size, offs in _runner_offset_vectors(t, n):
-        if size == n:
-            cores.append(abacus._from_counts(offs, min(offs), []))
+    cores = [abacus._from_counts(xs, min(xs), []) for xs in _runner_offset_vectors(t, n)]
     return sorted(cores, reverse=True)
 
 
@@ -255,7 +259,7 @@ def count_t_cores(n: int, t: int) -> int:
     _check_n_t(n, t)
     if forms := sieves.closed_forms().get(t):
         return forms[0](n)
-    return ct_count_series(t, n)[n]
+    return series.ct_count_series(t, n)[n]
 
 
 def verify_core_formulas(
@@ -288,18 +292,18 @@ def verify_core_formulas(
     by_dp3 = count_t_cores_up_to(3, n_max)
     by_sieve = sieves.c3_divisor_sums(n_max)
     for n in range(n_max + 1):
-        ds = c3_divisor_sum(n)
+        ds = sieves.c3_divisor_sum(n)
         qf = c3_qf_count(n)
         if not ds == by_sieve[n] == qf == by_dp3[n]:
             failures.append(
                 f"c_3({n}): divisor sum {ds}, sieve {by_sieve[n]}, "
                 f"quadratic form {qf}, runner DP {by_dp3[n]}"
             )
-        if c2(n) != by_dp2[n]:
-            failures.append(f"c_2({n}): closed form {c2(n)}, runner DP {by_dp2[n]}")
+        if (closed := sieves.c2(n)) != by_dp2[n]:
+            failures.append(f"c_2({n}): closed form {closed}, runner DP {by_dp2[n]}")
         checked += 2
     for t in range(2, t_max + 1):
-        from_series = ct_count_series(t, series_n_max)
+        from_series = series.ct_count_series(t, series_n_max)
         from_dp = tuple(count_t_cores_up_to(t, series_n_max))
         if from_series != from_dp:
             first = next(

@@ -89,9 +89,15 @@ def test_hooks_cell_budget(capsys, monkeypatch):
 
 
 def test_bad_partition_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["hooks", "1,2,3"])
-    assert exc.value.code == 2
+    # argparse refuses a bad partition or integer list with its usage exit code
+    for argv, message in (
+        (["hooks", "1,2,3"], "bad partition '1,2,3'"),
+        (["table", "--n", "30,x"], "bad integer list '30,x'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_decompose_json(capsys):
@@ -543,21 +549,31 @@ def test_verify_core_formulas_tmax_9(capsys):
     assert out.endswith("n <= 200 for t <= 9 series (2610 checks)\nVERIFIED\n")
 
 
-def test_verify_core_formulas_checks_the_sieve(capsys, monkeypatch):
-    sieve = sieves.c3_divisor_sums
-
-    def one_wrong(n_max):
-        counts = sieve(n_max)
-        counts[7] += 1
-        return counts
-
-    monkeypatch.setattr(sieves, "c3_divisor_sums", one_wrong)
+# c_2(7) = c_3(7) = 0: 7 is not triangular, and 3 * 7 + 1 = 2 * 11
+@pytest.mark.parametrize(
+    "module, name, fault, report",
+    [
+        (sieves, "c3_divisor_sums",
+         lambda real: lambda n_max: [c + (n == 7) for n, c in enumerate(real(n_max))],
+         "c_3(7): divisor sum 0, sieve 1, quadratic form 0, runner DP 0"),
+        (sieves, "c2", lambda real: lambda n: real(n) + (n == 7),
+         "c_2(7): closed form 1, runner DP 0"),
+        (series, "ct_count_series",
+         lambda real: lambda t, top: tuple(
+             c + (t == 4 and n == 5) for n, c in enumerate(real(t, top))),
+         "c_4: series and runner DP differ first at n=5"),
+    ],
+    ids=["c3-sieve", "c2-closed-form", "c4-series"],
+)
+def test_verify_core_formulas_checks_the_sieve(capsys, monkeypatch, module, name, fault, report):
+    # each route the check reads, wrong at one n, is reported as the one mismatch
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
     code, out = run(capsys, "verify", "core-formulas", "--nmax", "20",
                     "--series-nmax", "10", "--tmax", "4")
     assert code == 1
-    c = cores.c3_divisor_sum(7)
-    assert (f"MISMATCH c_3(7): divisor sum {c}, sieve {c + 1}, quadratic form {c}, "
-            f"runner DP {c}\n") in out
+    assert [line for line in out.splitlines() if line.startswith("MISMATCH")] == [
+        f"MISMATCH {report}"
+    ]
     assert out.endswith("COUNTEREXAMPLE FOUND\n")
 
 
@@ -566,7 +582,7 @@ def test_verify_core_formulas_over_budget(capsys, monkeypatch):
         raise AssertionError("counted cores before the budget check")
 
     monkeypatch.setattr(cores, "count_t_cores_up_to", no_work)
-    monkeypatch.setattr(cores, "ct_count_series", no_work)
+    monkeypatch.setattr(series, "ct_count_series", no_work)
     for argv, message in (
         (["verify", "core-formulas", "--tmax", "100000"], "budget"),
         (["verify", "core-formulas", "--nmax", "-1"], "non-negative"),
@@ -589,8 +605,9 @@ def test_verify_core_formulas_names_the_negative_size(capsys, monkeypatch, flag,
         raise AssertionError("did work before the size check")
 
     # not even the budget estimate runs first
-    for name in ("_dp_row_entries", "count_t_cores_up_to", "ct_count_series"):
+    for name in ("_dp_row_entries", "count_t_cores_up_to"):
         monkeypatch.setattr(cores, name, no_work)
+    monkeypatch.setattr(series, "ct_count_series", no_work)
     monkeypatch.setattr(sieves, "c3_divisor_sums", no_work)
     assert cli.main(["verify", "core-formulas", flag, "-1"]) == 2
     captured = capsys.readouterr()
@@ -603,8 +620,9 @@ def test_verify_core_formulas_refuses_a_tmax_that_checks_no_series(capsys, monke
     def no_work(*args):
         raise AssertionError("did work before the t_max check")
 
-    for name in ("_dp_row_entries", "count_t_cores_up_to", "ct_count_series"):
+    for name in ("_dp_row_entries", "count_t_cores_up_to"):
         monkeypatch.setattr(cores, name, no_work)
+    monkeypatch.setattr(series, "ct_count_series", no_work)
     monkeypatch.setattr(sieves, "c3_divisor_sums", no_work)
     monkeypatch.setattr(series, "sparse_product", no_work)
     assert cli.main(["verify", "core-formulas", "--tmax", tmax]) == 2

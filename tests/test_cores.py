@@ -233,9 +233,44 @@ def test_count_t_cores_up_to_matches_series():
     assert tuple(count_t_cores_up_to(60, 200)) == ct_count_series(60, 200)
 
 
+def _all_sizes_walk(t, max_size):
+    """Yield (size, offsets) for every t-core of size <= max_size, once each.
+
+    Runners t-1, ..., 1 are walked inside the size budget, each term of
+    2 * size = sum_c [t x_c^2 + (2c - t + 1) x_c] being >= 0, and runner 0's
+    offset is fixed by the zero sum; a vector over the budget is dropped. No
+    root closes a runner, so this stays an oracle for the walk to size n.
+    """
+    target2 = 2 * max_size
+    offsets = [0] * t
+    # (runner, its remaining offsets, 2*size and offset sum of runners above)
+    stack = [(t - 1, iter(cores._runner_span(t, t - 1, target2)), 0, 0)]
+    while stack:
+        c, xs, spent2, total = stack[-1]
+        x = next(xs, None)
+        if x is None:
+            stack.pop()
+            continue
+        offsets[c] = x
+        spent2 += t * x * x + (2 * c - t + 1) * x
+        total += x
+        if c > 1:
+            span = cores._runner_span(t, c - 1, target2 - spent2)
+            stack.append((c - 1, iter(span), spent2, total))
+            continue
+        size2 = spent2 + t * total * total + (t - 1) * total
+        if size2 <= target2:
+            offsets[0] = -total
+            yield size2 // 2, tuple(offsets)
+
+
+def _size(t, offsets):
+    return sum(t * x * x + (2 * c - t + 1) * x for c, x in enumerate(offsets)) // 2
+
+
 def _enumerated_counts(t, max_size):
     counts = [0] * (max_size + 1)
-    for size, _ in cores._runner_offset_vectors(t, max_size):
+    for size, _ in _all_sizes_walk(t, max_size):
         counts[size] += 1
     return counts
 
@@ -356,6 +391,10 @@ def test_count_t_cores_checks_n_then_t_before_choosing_a_route():
             with pytest.raises(ValueError) as info:
                 route(n, t)
             assert str(info.value) == message
+    # and each per-n form refuses a negative n itself
+    for form in (sieves.c2, sieves.c3_divisor_sum, sieves.c5_divisor_sum, c3_qf_count):
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+            form(-1)
 
 
 def test_verify_core_formulas_small():
@@ -372,7 +411,7 @@ def test_enumeration_budget(monkeypatch):
     # the budget counts offset entries: t times the t-cores of size <= n
     entries = 4 * sum(ct_count_series(4, 20))
     monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries)
-    assert sum(1 for _ in cores._runner_offset_vectors(4, 20)) * 4 == entries
+    assert sum(1 for _ in _all_sizes_walk(4, 20)) * 4 == entries
     assert len(enumerate_t_cores(20, 4)) == ct_count_series(4, 20)[20]
     monkeypatch.setattr(cores, "CORE_ENUMERATION_BUDGET", entries - 1)
     with pytest.raises(ValueError, match="budget"):
@@ -386,9 +425,7 @@ def test_enumeration_budget(monkeypatch):
 def _decoded_runner_walk(n, t):
     # every offset vector of size n, decoded to its core, as a sorted list
     found = [
-        _from_counts(offs, min(offs), [])
-        for size, offs in cores._runner_offset_vectors(t, n)
-        if size == n
+        _from_counts(offs, min(offs), []) for size, offs in _all_sizes_walk(t, n) if size == n
     ]
     return sorted(found, reverse=True)
 
@@ -399,6 +436,18 @@ def test_enumeration_for_t_above_n_matches_runner_walk(n):
     for t in (n + 1, n + 2, 2 * n + 3, 40):
         if t >= 2:  # at n = 0, t = n + 1 is below every modulus
             assert enumerate_t_cores(n, t) == _decoded_runner_walk(n, t), t
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_enumeration_for_t_up_to_9_matches_runner_walk(t):
+    # the walk to size n closes runners 1 and 0 by a root (at t = 2 it walks no
+    # runner), where the oracle walks runner 1 through every size <= n. The
+    # closing discriminant is 1 mod t, never zero, so no root is doubled
+    for n in range(41):
+        vectors = list(cores._runner_offset_vectors(t, n))
+        assert all(_size(t, offs) == n for offs in vectors), n
+        assert sorted(vectors) == sorted(o for size, o in _all_sizes_walk(t, n) if size == n), n
+        assert enumerate_t_cores(n, t) == _decoded_runner_walk(n, t), n
 
 
 def test_enumeration_budget_for_t_above_n(monkeypatch):

@@ -50,15 +50,15 @@ def test_import_runs_no_submodule():
         ("verify part1 --ell 3 --nmax 50", ("distribution", "sieves")),
         ("verify part2 --ell 2 --nmax 50", ("distribution", "sieves")),
         ("table --n 30,60", ("distribution", "series", "sieves")),
-        # every cores-count runs sieves, whose closed_forms picks the route,
-        # and series, whose ct_count_series cores binds
-        ("cores-count --n 6 --t 2", ("cores", "series", "sieves")),
+        # every cores-count runs sieves, whose closed_forms picks the route;
+        # only a t without a closed form runs series
+        ("cores-count --n 6 --t 2", ("cores", "sieves")),
         ("verify core-formulas --nmax 20 --series-nmax 10 --tmax 4", ("cores", "series", "sieves")),
         ("no-check --mmax 4", ("nekrasov", "partitions", "series")),
         ("table --t 5 --b 5 --n 30", ("distribution", "series", "sieves")),
         # sieves.core_counts reads series.ct_count_series at t = 4
         ("table --t 4 --n 30,60", ("distribution", "series", "sieves")),
-        ("cores-count --n 6 --t 3", ("cores", "series", "sieves")),
+        ("cores-count --n 6 --t 3", ("cores", "sieves")),
         ("cores-count --n 6 --t 7", ("cores", "series", "sieves")),
     ],
 )
@@ -123,7 +123,7 @@ def test_quick_tour_names_resolve_to_their_submodules():
 # cores. The counter charges |e| passes per factor, so the t = 2 tuple series
 # E(q) * 1/E(q)^3 counts four passes, though it makes one. The t = 4 table
 # reads series.ct_count_series through sieves.core_counts, and the tracer
-# counts it under the name cores binds it by.
+# counts it under the name cores resolves it by.
 TRACED = {
     "cli verify part1 --ell 3": (
         {"distribution.sweep": 1, "cli.main": 1},
@@ -150,8 +150,9 @@ TRACED = {
         {"series.coeff_updates": 14},
     ),
     # count_t_cores reads c2 off sieves.closed_forms, which is built at each
-    # call and so holds the wrapped form; verify_core_formulas calls the
-    # forms that cores binds from sieves
+    # call and so holds the wrapped form; verify_core_formulas reads the
+    # forms off sieves and series at call time, and cores resolves the span
+    # names to them
     "cli cores-count --n 6 --t 2": (
         {"cores.c2": 1, "cores.count_t_cores": 1, "cli.main": 1},
         {},
@@ -168,6 +169,17 @@ TRACED = {
         {"abacus.beads": 1710},
     ),
 }
+
+
+def test_cores_resolves_its_span_names_where_they_are_defined():
+    # the tracer looks these spans up in cores, which binds none of them
+    from tcores import cores, series, sieves
+
+    assert cores.c2 is sieves.c2 and cores.c3_divisor_sum is sieves.c3_divisor_sum
+    assert cores.ct_count_series is series.ct_count_series
+    assert not {"c2", "c3_divisor_sum", "ct_count_series"} & set(vars(cores))
+    with pytest.raises(AttributeError, match="no attribute 'c5_divisor_sum'"):
+        cores.c5_divisor_sum
 
 
 @pytest.mark.parametrize("op", TRACED)
