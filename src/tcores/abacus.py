@@ -19,10 +19,10 @@ any two paddings that agree mod t produce the same labelled quotient.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .partitions import Partition, _unchecked
+from .partitions import Partition, _surplus, _unchecked
 
 
 _EMPTY = Partition()
@@ -77,14 +77,6 @@ def _counts(lam: Partition, t: int) -> list[int]:
     return counts
 
 
-def _surplus(lam: Partition, counts: Sequence[int]) -> int:
-    # The rows sum(B // t) = (|lam| + s(s-1)/2 - sum(B mod t)) / t of s beads, less
-    # k(k-1)/2 for each runner of k beads: lam's number of t-hooks (0 for a t-core).
-    t, s = len(counts), sum(counts)
-    rows = (sum(lam) + s * (s - 1) // 2 - sum(map(mul, counts, range(t)))) // t
-    return rows - (sum(map(mul, counts, counts)) - s) // 2  # sum of k(k-1)/2
-
-
 def _from_counts(counts: Sequence[int], low: int, values: list[int]) -> Partition:
     # Runner c holds counts[c] - low gap-free beads, under any in values: dropping
     # row 0 of every runner (t beads, one shift of the padding) keeps the partition.
@@ -105,7 +97,9 @@ def t_core(lam: Partition, t: int) -> Partition:
     """The unique t-core obtained by removing rim t-hooks until none remain."""
     if type(lam) is not Partition:
         lam = Partition(lam)
-    if t > max(lam.size, 1):  # t >= 2 and no hook of lam reaches length t
+    # No hook of lam reaches length t: the largest is lam_1 + #parts - 1, and
+    # _counts refuses t < 2.
+    if t >= max(2, sum(lam[:1]) + len(lam)):
         return lam
     counts = _counts(lam, t)
     return _from_counts(counts, min(counts), [])
@@ -123,6 +117,8 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     # A gap-free runner, its top row at count - 1, holds no t-hook.
     quotient = tuple([_EMPTY if not rs or rs[0] == len(rs) - 1
                       else _partition_from_descending(rs) for rs in rows])
+    if not any(quotient):  # every runner gap-free: lam is its own t-core
+        return CoreQuotient(lam, quotient)
     counts = list(map(len, rows))
     return CoreQuotient(_from_counts(counts, min(counts), []), quotient)
 
@@ -137,6 +133,8 @@ def compose(cq: CoreQuotient) -> Partition:
     counts = _counts(core, t)
     if _surplus(core, counts):
         raise ValueError(f"core {tuple(core)} has a {t}-hook")
+    if not any(quotient):
+        return core
     # Runner c stacks comp's structure numbers, padded to counts[c] - low
     # parts, on counts[c] - len(comp) - low gap-free beads (low may be < 0).
     free = list(map(sub, counts, map(len, quotient)))

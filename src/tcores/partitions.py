@@ -7,7 +7,8 @@ are non-increasing, and the empty partition is the unique partition of 0.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Iterator
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 
 class Partition(tuple):
@@ -106,8 +107,23 @@ def count_t_hooks(lam: Partition, t: int) -> int:
     """Number of cells whose hook length is divisible by t."""
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    # h(i, j) = (lam_i - i + 1) + (lam'_j - j), so t | h(i, j) exactly when
-    # lam'_j - j = i - lam_i - 1 (mod t); row i counts its first lam_i marks.
-    marks = [(col - j) % t for j, col in enumerate(conjugate(lam), 1)]
-    return sum(marks[:part].count((i - part - 1) % t) for i, part in enumerate(lam, 1))
+    if type(lam) is not Partition:
+        lam = Partition(lam)
+    s = len(lam)
+    if not s or t >= lam[0] + s:  # the largest hook, h(1, 1), is lam_1 + s - 1
+        return 0
+    # Row i's hooks are B_i - x for the positions x < B_i = lam_i - i + s that
+    # hold no structure number, so its t-hooks are the free positions below B_i
+    # in its class mod t: one tally of the classes, at most lam_1 + s counters.
+    counts = [0] * t
+    for b in map(add, lam, range(s - 1, -1, -1)):
+        counts[b % t] += 1
+    return _surplus(lam, counts)
 
+
+def _surplus(lam: Partition, counts: Sequence[int]) -> int:
+    # The rows sum(B // t) = (|lam| + s(s-1)/2 - sum(B mod t)) / t of s beads, less
+    # k(k-1)/2 for each class of k beads: lam's number of t-hooks (0 for a t-core).
+    t, s = len(counts), sum(counts)
+    rows = (sum(lam) + s * (s - 1) // 2 - sum(map(mul, counts, range(t)))) // t
+    return rows - (sum(map(mul, counts, counts)) - s) // 2  # sum of k(k-1)/2

@@ -130,6 +130,15 @@ def test_core_of_small_partition_for_huge_t(capsys):
     assert out == "1\n"
 
 
+@pytest.mark.parametrize("partition", ["", "-", "1"])
+@pytest.mark.parametrize("t", ["0", "1"])
+def test_core_refuses_t_below_2_even_without_hooks(capsys, partition, t):
+    assert cli.main(["core", partition, "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t must be at least 2, got {t}\n"
+
+
 def test_cores_count_json(capsys):
     code, out = run(capsys, "cores-count", "--n", "2", "--t", "3", "--witnesses",
                     "--format", "json")

@@ -17,6 +17,11 @@ partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
 
+# Long (many parts <= 3) and wide (at most 4 parts) partitions of size <= 120.
+long_or_wide = st.one_of(
+    st.lists(st.integers(1, 3), max_size=40), st.lists(st.integers(1, 30), max_size=4)
+).map(lambda xs: Partition(sorted(xs, reverse=True)))
+
 
 def hook_length(lam: Partition, i: int, j: int) -> int:
     """Hook length h(i, j) of cell (i, j), 1-based.
@@ -35,6 +40,16 @@ def hook_multiset(lam: Partition) -> Counter[int]:
     for row in hook_rows(lam):
         counts.update(row)
     return counts
+
+
+def diagram_t_hooks(lam: Partition, t: int) -> int:
+    """Cells whose hook length t divides, read off the diagram and its columns.
+
+    h(i, j) = (lam_i - i + 1) + (lam'_j - j), so t | h(i, j) exactly when
+    lam'_j - j = i - lam_i - 1 (mod t); row i counts its first lam_i marks.
+    """
+    marks = [(col - j) % t for j, col in enumerate(conjugate(lam), 1)]
+    return sum(marks[:part].count((i - part - 1) % t) for i, part in enumerate(lam, 1))
 
 
 def test_partition_validation():
@@ -150,6 +165,39 @@ def test_count_t_hooks_examples():
     assert count_t_hooks(Partition((5, 3, 2, 1)), 3) == 3
     with pytest.raises(ValueError):
         count_t_hooks(Partition((2,)), 1)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_count_t_hooks_refuses_t_below_2_before_any_shortcut(t):
+    # the empty partition has no hook at all, but t is checked first
+    for lam in (Partition(), (), Partition((1,))):
+        with pytest.raises(ValueError, match=f"^t must be at least 2, got {t}$"):
+            count_t_hooks(lam, t)
+
+
+def test_count_t_hooks_matches_the_diagram_and_the_grid():
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            rows = hook_rows(lam)
+            for t in range(2, 12):
+                count = count_t_hooks(lam, t)
+                assert count == diagram_t_hooks(lam, t), (lam, t)
+                assert count == sum(h % t == 0 for row in rows for h in row), (lam, t)
+
+
+@given(long_or_wide, st.integers(2, 45))
+def test_count_t_hooks_matches_the_diagram_on_long_and_wide(lam, t):
+    # tests/test_abacus.py checks the same shapes against hook_rows
+    assert count_t_hooks(lam, t) == diagram_t_hooks(lam, t)
+
+
+def test_count_t_hooks_for_a_t_beyond_every_hook():
+    square = Partition([1000] * 1000)  # largest hook 1999
+    assert count_t_hooks(square, 10**18) == 0
+    assert count_t_hooks(square, 2000) == 0
+    assert count_t_hooks(square, 1999) == 1 == diagram_t_hooks(square, 1999)
+    for t in (2, 3, 7):
+        assert count_t_hooks(square, t) == diagram_t_hooks(square, t)
 
 
 def test_conjugate_examples():
