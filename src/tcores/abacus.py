@@ -97,9 +97,7 @@ def t_core(lam: Partition, t: int) -> Partition:
     """The unique t-core obtained by removing rim t-hooks until none remain."""
     if type(lam) is not Partition:
         lam = Partition(lam)
-    # No hook of lam reaches length t: the largest is lam_1 + #parts - 1, and
-    # _counts refuses t < 2.
-    if t >= max(2, sum(lam[:1]) + len(lam)):
+    if t > max(lam.size, 1):  # t >= 2 and no hook of lam reaches length t
         return lam
     counts = _counts(lam, t)
     return _from_counts(counts, min(counts), [])
@@ -117,8 +115,6 @@ def decompose(lam: Partition, t: int) -> CoreQuotient:
     # A gap-free runner, its top row at count - 1, holds no t-hook.
     quotient = tuple([_EMPTY if not rs or rs[0] == len(rs) - 1
                       else _partition_from_descending(rs) for rs in rows])
-    if not any(quotient):  # every runner gap-free: lam is its own t-core
-        return CoreQuotient(lam, quotient)
     counts = list(map(len, rows))
     return CoreQuotient(_from_counts(counts, min(counts), []), quotient)
 
@@ -133,8 +129,6 @@ def compose(cq: CoreQuotient) -> Partition:
     counts = _counts(core, t)
     if _surplus(core, counts):
         raise ValueError(f"core {tuple(core)} has a {t}-hook")
-    if not any(quotient):
-        return core
     # Runner c stacks comp's structure numbers, padded to counts[c] - low
     # parts, on counts[c] - len(comp) - low gap-free beads (low may be < 0).
     free = list(map(sub, counts, map(len, quotient)))

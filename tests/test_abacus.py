@@ -17,6 +17,7 @@ from tcores.abacus import (
 )
 from tcores.cores import enumerate_t_cores
 from tcores.partitions import Partition, count_t_hooks, enumerate_partitions, hook_rows
+from test_partitions import diagram_t_hooks
 
 
 # Beta-set oracle, independent of the runner code: lam padded to s parts is
@@ -253,48 +254,17 @@ def test_compose_rejects_non_core():
         compose(cq)
 
 
-@pytest.mark.parametrize("t", range(2, 8))
-def test_t_cores_pass_through_the_bijection(t):
-    # a t-core decomposes to itself and the empty quotient, and composes back
-    # unchanged; a non-core with the empty quotient is still refused
-    for n in range(15):
-        cores = set(enumerate_t_cores(n, t))
-        for lam in enumerate_partitions(n):
-            beta = beta_set(lam, bead_count(len(lam), t))
-            empty = CoreQuotient(lam, (Partition(),) * t)
-            if lam not in cores:
-                with pytest.raises(ValueError, match=f"has a {t}-hook"):
-                    compose(empty)
-                continue
-            assert beta_decode(beta_core(beta, t)) == lam
-            assert decompose(lam, t) == empty == (lam, beta_quotient(beta, t))
-            assert t_core(lam, t) == compose(empty) == lam
-
-
 @pytest.mark.parametrize("t", [0, 1])
-def test_t_below_2_is_refused_before_any_shortcut(t):
+def test_t_below_2_is_refused_for_the_empty_partition(t):
     # the empty partition is its own core for every t >= 2, but t < 2 is no abacus
     message = f"^t must be at least 2, got {t}$"
     for call in (
         lambda: t_core(Partition(), t),
         lambda: t_core((), t),
         lambda: decompose(Partition(), t),
-        lambda: compose(CoreQuotient(Partition(), (Partition(),) * t)),
     ):
         with pytest.raises(ValueError, match=message):
             call()
-
-
-def test_t_core_needs_no_runners_when_no_hook_reaches_t(monkeypatch):
-    # (3, 3, 3) has 9 cells and largest hook 5, so t = 6 leaves it unchanged;
-    # decompose still lays out t runners and keeps the runner limit
-    monkeypatch.setattr("tcores.abacus.MAX_RUNNERS", 5)
-    lam = Partition((3, 3, 3))
-    assert t_core(lam, 6) is lam
-    with pytest.raises(ValueError, match="limit of 5 runners"):
-        decompose(lam, 6)
-    with pytest.raises(ValueError, match="limit of 5 runners"):
-        t_core(Partition((3, 3, 3, 1)), 6)
 
 
 def test_compose_core_check_matches_hook_count():
@@ -460,9 +430,11 @@ def test_row_sum_identity_on_long_and_wide(lam, t):
     _check_row_sum_identity(lam, t)
 
 
-@given(long_or_wide, st.integers(2, 11))
+@given(long_or_wide, st.integers(2, 45))
 def test_count_t_hooks_matches_hook_rows(lam, t):
-    assert count_t_hooks(lam, t) == sum(h % t == 0 for row in hook_rows(lam) for h in row)
+    count = count_t_hooks(lam, t)
+    assert count == sum(h % t == 0 for row in hook_rows(lam) for h in row)
+    assert count == diagram_t_hooks(lam, t)
 
 
 # The decoder builds partitions without Partition's per-part check. Every

@@ -17,11 +17,6 @@ partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
 
-# Long (many parts <= 3) and wide (at most 4 parts) partitions of size <= 120.
-long_or_wide = st.one_of(
-    st.lists(st.integers(1, 3), max_size=40), st.lists(st.integers(1, 30), max_size=4)
-).map(lambda xs: Partition(sorted(xs, reverse=True)))
-
 
 def hook_length(lam: Partition, i: int, j: int) -> int:
     """Hook length h(i, j) of cell (i, j), 1-based.
@@ -183,12 +178,6 @@ def test_count_t_hooks_matches_the_diagram_and_the_grid():
                 count = count_t_hooks(lam, t)
                 assert count == diagram_t_hooks(lam, t), (lam, t)
                 assert count == sum(h % t == 0 for row in rows for h in row), (lam, t)
-
-
-@given(long_or_wide, st.integers(2, 45))
-def test_count_t_hooks_matches_the_diagram_on_long_and_wide(lam, t):
-    # tests/test_abacus.py checks the same shapes against hook_rows
-    assert count_t_hooks(lam, t) == diagram_t_hooks(lam, t)
 
 
 def test_count_t_hooks_for_a_t_beyond_every_hook():
