@@ -15,7 +15,7 @@ import argparse
 import gc
 import sys
 
-from . import abacus, cores, distribution, nekrasov, partitions
+from . import abacus, cores, distribution, nekrasov, partitions, sieves
 
 # highest q-degree `verify no-identity` and `no-check` check by default
 DEFAULT_MMAX = 12
@@ -110,7 +110,7 @@ def cmd_core(args) -> tuple[int, list[str]]:
 
 def cmd_cores_count(args) -> tuple[int, list[str]]:
     found = cores.enumerate_t_cores(args.n, args.t) if args.witnesses else None
-    count = cores.count_t_cores(args.n, args.t) if found is None else len(found)
+    count = sieves.count_t_cores(args.n, args.t) if found is None else len(found)
     if args.format == "json":
         payload = {"n": args.n, "t": args.t, "count": count}
         if found is not None:

@@ -1,10 +1,11 @@
 """Listing t-cores, and the routes that cross-check the closed forms.
 
-count_t_cores returns c_t(n) by the closed form sieves.closed_forms holds for
-t, else by series.ct_count_series. verify_core_formulas checks those forms
-against a quadratic-form count equal to c_3 and the runner theta-sum DP for
-every t. enumerate_t_cores lists the t-cores of n for witnesses, closing runners
-1 and 0 by one root, up to the size limit the series cost model sets at every t.
+enumerate_t_cores lists the t-cores of n for witnesses, closing runners 1 and 0
+by one root, up to the size limit the series cost model sets at every t.
+verify_core_formulas checks the closed forms and the c_t series against a
+quadratic-form count equal to c_3 and the runner theta-sum DP for every t.
+Counting alone is sieves.count_t_cores, so `cores-count` runs this module only
+for --witnesses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Callable, Iterable, Iterator
 
 from . import abacus, partitions, series, sieves
 # spans that bench/trace_child.py looks up here, by the module that defines each
-_SPANS = {"c2": sieves, "c3_divisor_sum": sieves, "ct_count_series": series}
+_SPANS = {"c2": sieves, "c3_divisor_sum": sieves, "count_t_cores": sieves,
+          "ct_count_series": series}
 
 
 def __getattr__(name: str):
@@ -238,28 +240,12 @@ def enumerate_t_cores(n: int, t: int) -> list[partitions.Partition]:
     t > n no hook reaches length t, so every partition of n is a t-core and
     no runner is walked; the budget is charged n p(n) listed parts instead.
     """
-    _check_n_t(n, t)
+    sieves._check_n_t(n, t)
     if t > n:
         _check_listing_budget(n)
         return list(partitions.enumerate_partitions(n))
     cores = [abacus._from_counts(xs, min(xs), []) for xs in _runner_offset_vectors(t, n)]
     return sorted(cores, reverse=True)
-
-
-def _check_n_t(n: int, t: int) -> None:
-    # one refusal for every route that counts or lists the t-cores of n
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
-
-
-def count_t_cores(n: int, t: int) -> int:
-    """c_t(n) via the cheapest correct route for the given t."""
-    _check_n_t(n, t)
-    if forms := sieves.closed_forms().get(t):
-        return forms[0](n)
-    return series.ct_count_series(t, n)[n]
 
 
 def verify_core_formulas(

@@ -1,10 +1,9 @@
-"""Closed forms for c_t, per n and as tables c_t(0..N), and their trial division.
+"""Closed forms for c_t per n and as tables, their trial division, and their route.
 
-closed_forms is the one table that picks a closed form by t: c2, a square test
-on 8n+1, and the divisor sums c3_divisor_sum and c5_divisor_sum, products over
-the prime powers of 3n+1 and n+1, each beside its sieve. core_counts is the
-one route to a table c_t(0..N), read by the hook tables, the vanishing sweeps
-and the witness walk's budget; every other t reads series.ct_count_series.
+closed_forms holds c2, a square test on 8n+1, and the divisor sums c3_divisor_sum
+and c5_divisor_sum, products over the prime powers of 3n+1 and n+1, beside their
+sieves. _route is the one choice of them or series.ct_count_series, read per n by
+count_t_cores and as c_t(0..N) by core_counts (tables, sweeps, the witness budget).
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ def is_prime(n: int) -> bool:
 
 
 def c2(n: int) -> int:
-    """Number of 2-cores of n: 1 iff 8n+1 is a perfect (odd) square.
-
-    Equivalently, 1 iff n is triangular — the staircase is the only 2-core.
-    """
+    """Number of 2-cores of n: 1 iff 8n+1 is a perfect (odd) square, that is, iff
+    n is triangular — the staircase is the only 2-core."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     m = 8 * n + 1
@@ -150,16 +147,33 @@ def c5_divisor_sums(n_max: int) -> list[int]:
 
 
 def closed_forms() -> dict[int, tuple[Callable[[int], int], Callable[[int], list[int]]]]:
-    """t -> (c_t(n) per n, the table c_t(0..n_max)) where t has a closed form: the
-    one choice of closed form. Built at each call, so a wrapper bound over c2 or
-    c3_divisor_sum (bench/trace_child.py binds one) is what runs."""
+    """t -> (c_t(n) per n, the table c_t(0..n_max)) where t has a closed form, built
+    at each call, so a wrapper that bench/trace_child.py binds over c2 or c3_divisor_sum runs."""
     return {2: (c2, c2_counts), 3: (c3_divisor_sum, c3_divisor_sums),
             5: (c5_divisor_sum, c5_divisor_sums)}
 
 
+def _route(t: int) -> tuple[Callable[[int], int], Callable[[int], Sequence[int]]]:
+    """(c_t(n) per n, the table c_t(0..n_max)): t's closed forms, else the c_t series,
+    looked up at each call, as the forms are, so a traced run reads the wrapped one."""
+    return closed_forms().get(t, (lambda n: series.ct_count_series(t, n)[n],
+                                  lambda n_max: series.ct_count_series(t, n_max)))
+
+
+def _check_n_t(n: int, t: int) -> None:
+    # one refusal for every route that counts or lists the t-cores of n
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if t < 2:
+        raise ValueError(f"t must be at least 2, got {t}")
+
+
+def count_t_cores(n: int, t: int) -> int:
+    """c_t(n) by t's route, once n and then t are checked."""
+    _check_n_t(n, t)
+    return _route(t)[0](n)
+
+
 def core_counts(t: int, n_max: int) -> Sequence[int]:
-    """c_t(0..n_max): the closed_forms table where t has one, otherwise the
-    product series, refused over its budget."""
-    if forms := closed_forms().get(t):
-        return forms[1](n_max)
-    return series.ct_count_series(t, n_max)
+    """c_t(0..n_max) by t's route."""
+    return _route(t)[1](n_max)

@@ -167,6 +167,13 @@ def test_cores_count_witnesses_for_t_above_n(capsys):
     assert "budget" in captured.err
 
 
+def test_cores_count_for_huge_t_is_the_partition_number(capsys):
+    # c_t(10) = p(10) for any t > 10; the series drops E(q^t)^t at once
+    code, out = run(capsys, "cores-count", "--n", "10", "--t", str(2 * 10**20))
+    assert code == 0
+    assert out == "c_200000000000000000000(10) = 42\n"
+
+
 def test_cores_count_witnesses_over_budget(capsys):
     code = cli.main(["cores-count", "--n", "500", "--t", "7", "--witnesses"])
     captured = capsys.readouterr()

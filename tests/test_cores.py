@@ -368,6 +368,17 @@ def test_core_counts_match_the_runner_dp():
         assert [count_t_cores(n, t) for n in window] == tail, t
 
 
+@pytest.mark.parametrize("t", [61, 100_001, 10**20])
+def test_counts_for_t_above_n_are_the_partition_numbers(t):
+    # no hook of a partition of n <= 60 reaches t > 60, so c_t(n) = p(n): the
+    # series drops E(q^t)^t, and no closed form is taken
+    p = eta_inverse_power_series(1, 60)
+    assert p[60] == 966_467
+    assert tuple(sieves.core_counts(t, 60)) == p
+    assert [count_t_cores(n, t) for n in range(61)] == list(p)
+    assert [count_t_cores(n, n + 1) for n in range(1, 61)] == list(p[1:])
+
+
 @pytest.mark.parametrize("n, t", [(89_676, 2), (90_000, 3)])
 def test_listing_at_t_2_3_builds_no_series(monkeypatch, n, t):
     # the walk's budget reads the closed-form tables, never the c_t series

@@ -50,16 +50,16 @@ def test_import_runs_no_submodule():
         ("verify part1 --ell 3 --nmax 50", ("distribution", "sieves")),
         ("verify part2 --ell 2 --nmax 50", ("distribution", "sieves")),
         ("table --n 30,60", ("distribution", "series", "sieves")),
-        # every cores-count runs sieves, whose closed_forms picks the route;
-        # only a t without a closed form runs series
-        ("cores-count --n 6 --t 2", ("cores", "sieves")),
+        # cores-count without --witnesses runs only sieves, whose _route picks
+        # the route; only a t without a closed form runs series
+        ("cores-count --n 6 --t 2", ("sieves",)),
         ("verify core-formulas --nmax 20 --series-nmax 10 --tmax 4", ("cores", "series", "sieves")),
         ("no-check --mmax 4", ("nekrasov", "partitions", "series")),
         ("table --t 5 --b 5 --n 30", ("distribution", "series", "sieves")),
         # sieves.core_counts reads series.ct_count_series at t = 4
         ("table --t 4 --n 30,60", ("distribution", "series", "sieves")),
-        ("cores-count --n 6 --t 3", ("cores", "sieves")),
-        ("cores-count --n 6 --t 7", ("cores", "series", "sieves")),
+        ("cores-count --n 6 --t 3", ("sieves",)),
+        ("cores-count --n 6 --t 7", ("series", "sieves")),
     ],
 )
 def test_each_command_runs_only_its_modules(argv, runs):
@@ -152,7 +152,7 @@ TRACED = {
     # count_t_cores reads c2 off sieves.closed_forms, which is built at each
     # call and so holds the wrapped form; verify_core_formulas reads the
     # forms off sieves and series at call time, and cores resolves the span
-    # names to them
+    # names, count_t_cores among them, to sieves and series
     "cli cores-count --n 6 --t 2": (
         {"cores.c2": 1, "cores.count_t_cores": 1, "cli.main": 1},
         {},
@@ -177,7 +177,9 @@ def test_cores_resolves_its_span_names_where_they_are_defined():
 
     assert cores.c2 is sieves.c2 and cores.c3_divisor_sum is sieves.c3_divisor_sum
     assert cores.ct_count_series is series.ct_count_series
-    assert not {"c2", "c3_divisor_sum", "ct_count_series"} & set(vars(cores))
+    assert cores.count_t_cores is sieves.count_t_cores
+    assert not {"c2", "c3_divisor_sum", "ct_count_series", "count_t_cores",
+                "_check_n_t"} & set(vars(cores))
     with pytest.raises(AttributeError, match="no attribute 'c5_divisor_sum'"):
         cores.c5_divisor_sum
 
